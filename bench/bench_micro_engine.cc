@@ -409,8 +409,8 @@ int RunAnalyzerOverheadOnly(bench::BenchObs* obs) {
 // flight ring and reads the critical-path analyzer's fleet-wide
 // aggregate_us["fetch_wait"] — at depth 0 that is every attempt's full
 // synchronous fetch; pipelined (depth 4 by default, --prefetch-depth=<k>
-// overrides) it is only the residual stall where a compute worker outran
-// its fetch stage. The recorded key is the ratio
+// overrides) it is only the residual stall where a compute worker found
+// the shared staging queue empty. The recorded key is the ratio
 // depth-4 / depth-0 fetch-wait, floored at 0.35: the baseline gate (1.00
 // relative tolerance on a 0.35 base) fails exactly when the ratio exceeds
 // 0.70, i.e. when the pipeline stops hiding at least 30% of fetch waits.

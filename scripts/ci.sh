@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # The one-command gate: build + ctest + strict -Werror build + trace lint +
 # bench-baseline (perf-regression) check + causal-analyzer smoke (a sim
-# flight dump must analyze and self-diff cleanly). This is the command CI
-# runs and the command to run locally before sending a change.
+# flight dump must analyze and self-diff cleanly) + the wall-clock
+# benchmark's smoke run (perfbench builds, and its oracles hold, at tiny
+# sizes). This is the command CI runs and the command to run locally before
+# sending a change.
 #
 # Usage: scripts/ci.sh [--sanitize] [--lint] [--analyze]
 #   (from anywhere in the repo)
@@ -19,10 +21,10 @@
 #                clang-tidy is installed. The clang stages print a visible
 #                skip notice in gcc-only environments.
 #   --sanitize   the sanitizer matrix: the full tier-1 ctest suite under
-#                ASan+UBSan (build-asan/), and the concurrency stress +
-#                live-telemetry suites under TSan (build-tsan/). Suppression
-#                files live in scripts/sanitizers/ and start out empty — a
-#                report is a bug.
+#                ASan+UBSan (build-asan/), and the concurrency stress,
+#                live-telemetry, GPU-timeline, pipeline and fault-tolerance
+#                suites under TSan (build-tsan/). Suppression files live in
+#                scripts/sanitizers/ and start out empty — a report is a bug.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -99,6 +101,13 @@ PYEOF
 python3 scripts/distme_analyze.py "$gpu_dump" --timeline "$gpu_trace" >/dev/null
 python3 scripts/trace_lint.py "$gpu_trace"
 
+echo
+echo "== wall-clock benchmark smoke: perfbench/run.py --smoke =="
+# Builds the benchmark from this checkout and runs every workload tiny,
+# traced and untraced, with its correctness oracles — an engine change that
+# breaks the benchmark fails here rather than in the benchmark run.
+python3 perfbench/run.py --smoke
+
 if [[ "$run_lint" -eq 1 ]]; then
   echo
   echo "== clang-tidy (advisory) =="
@@ -144,11 +153,12 @@ if [[ "$run_sanitize" -eq 1 ]]; then
   cmake -B build-tsan -S . -DDISTME_SANITIZE=thread >/dev/null
   cmake --build build-tsan -j "$(nproc)" \
     --target stress_concurrency_test --target live_telemetry_test \
-    --target gpu_timeline_test
-  # Includes PipelinedMultiplyHammer: 8-slot prefetch pipelines (fetch /
-  # compute / emit threads crossing bounded queues and prefetch gates)
-  # racing a 1 ms sampler and watchdog — the TSan regression test for the
-  # RealExecutor async handoff.
+    --target gpu_timeline_test --target pipeline_test \
+    --target fault_tolerance_test
+  # Includes PipelinedMultiplyHammer: 8-slot prefetch pipelines (fetch
+  # threads and compute workers crossing one shared staging queue and the
+  # per-node prefetch gates) racing a 1 ms sampler and watchdog — the TSan
+  # regression test for the RealExecutor fetch-to-worker handoff.
   TSAN_OPTIONS="suppressions=$PWD/scripts/sanitizers/tsan.supp:halt_on_error=1:second_deadlock_stack=1" \
     ./build-tsan/tests/stress_concurrency_test
   # The live-telemetry suite races the sampler/watchdog/endpoint threads
@@ -159,6 +169,13 @@ if [[ "$run_sanitize" -eq 1 ]]; then
   # from under the device mutex) and the snapshot-side reconstruction.
   TSAN_OPTIONS="suppressions=$PWD/scripts/sanitizers/tsan.supp:halt_on_error=1:second_deadlock_stack=1" \
     ./build-tsan/tests/gpu_timeline_test
+  # The pipeline suite closes the shared staging queue while fetch threads
+  # may still be pushing, and the fault-tolerance suite crashes attempts
+  # mid-prefetch — the queue teardown and staged-state release paths.
+  TSAN_OPTIONS="suppressions=$PWD/scripts/sanitizers/tsan.supp:halt_on_error=1:second_deadlock_stack=1" \
+    ./build-tsan/tests/pipeline_test
+  TSAN_OPTIONS="suppressions=$PWD/scripts/sanitizers/tsan.supp:halt_on_error=1:second_deadlock_stack=1" \
+    ./build-tsan/tests/fault_tolerance_test
 fi
 
 echo

@@ -1,12 +1,12 @@
-// Building blocks of the RealExecutor prefetch pipeline: a bounded handoff
-// queue connecting the per-worker fetch / compute / emit stages, and the
+// Building blocks of the RealExecutor prefetch pipeline: the bounded
+// handoff queue from the fetch threads to the compute workers, and the
 // per-node staging gate that applies memory backpressure to prefetching
 // (DESIGN.md §4.9 "Execution pipeline").
 //
 // Ownership discipline: items passed through a BoundedQueue are moved —
-// exactly one stage owns a staged task at any instant, so the payload
+// exactly one thread owns a staged task at any instant, so the payload
 // itself needs no locking. The queue and gate are the only synchronization
-// between stages.
+// between fetch threads and workers.
 
 #pragma once
 
@@ -78,11 +78,6 @@ class BoundedQueue {
     not_empty_.notify_all();
   }
 
-  size_t size() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return items_.size();
-  }
-
   /// \brief Maximum occupancy ever observed (queue-depth high-water mark).
   size_t high_water() const {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -99,16 +94,16 @@ class BoundedQueue {
   size_t high_water_ DISTME_GUARDED_BY(mutex_) = 0;
 };
 
-/// \brief Per-node staging-memory gate: backpressure for the fetch stage.
+/// \brief Per-node staging-memory gate: backpressure for the fetch threads.
 ///
-/// The fetch stage calls WaitForHeadroom() before prefetching a task and
-/// Charge()s the staged bytes once fetched; the compute stage Release()s
-/// them when it takes ownership of the staged inputs. A new prefetch is
-/// admitted only while staged bytes are at or under the budget, so the
-/// effective prefetch depth shrinks as the node approaches its staging
-/// budget — and collapses to one-in-flight when a single task's inputs
-/// exceed it (an oversized task is always admitted once the gate is empty,
-/// so the pipeline cannot deadlock on a task bigger than the budget).
+/// A fetch thread calls WaitForHeadroom() before prefetching a task and
+/// Charge()s the staged bytes once fetched; the worker that pops the task
+/// Release()s them when it takes ownership of the staged inputs. A new
+/// prefetch is admitted only while staged bytes are at or under the budget,
+/// so the effective prefetch depth shrinks as the node approaches its
+/// staging budget — and collapses to one-in-flight when a single task's
+/// inputs exceed it (an oversized task is always admitted once the gate is
+/// empty, so the pipeline cannot deadlock on a task bigger than the budget).
 class PrefetchGate {
  public:
   explicit PrefetchGate(int64_t budget_bytes) : budget_(budget_bytes) {}
@@ -124,7 +119,6 @@ class PrefetchGate {
     while (used_ > budget_) {
       cv_.wait(lock);
     }
-    if (waited) ++waits_;
     return waited;
   }
 
@@ -134,23 +128,12 @@ class PrefetchGate {
     used_ += bytes;
   }
 
-  /// \brief Returns staged bytes to the gate (compute-side handoff, or a
-  /// dropped staged task on failure/teardown).
+  /// \brief Returns staged bytes to the gate (a worker's pop, or a dropped
+  /// staged task on failure/teardown).
   void Release(int64_t bytes) {
     std::lock_guard<std::mutex> lock(mutex_);
     used_ -= bytes;
     cv_.notify_all();
-  }
-
-  int64_t used_bytes() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return used_;
-  }
-
-  /// \brief How many prefetches were delayed by the budget.
-  int64_t waits() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return waits_;
   }
 
  private:
@@ -158,7 +141,6 @@ class PrefetchGate {
   mutable std::mutex mutex_;
   std::condition_variable cv_;
   int64_t used_ DISTME_GUARDED_BY(mutex_) = 0;
-  int64_t waits_ DISTME_GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace distme::engine

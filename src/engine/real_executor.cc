@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
-#include <functional>
 #include <map>
 #include <mutex>
 #include <optional>
+#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -40,17 +40,11 @@ struct PendingEmit {
   int64_t k_origin = 0;
 };
 
-// A committed attempt's outputs, in flight from compute to the emit stage.
-struct EmitBatch {
-  int node = 0;
-  std::vector<PendingEmit> outputs;
-};
-
-// A task whose first-attempt inputs were prefetched by the fetch stage.
-// Moves through the per-worker BoundedQueue, so exactly one stage owns it
-// at any instant. A failed prefetch travels as a null `inputs` plus the
-// error in `fetch_status`; the compute stage treats it as a failed first
-// attempt and retries synchronously.
+// One attempt's fetched inputs. At depth k > 0 a fetch thread stages a
+// task's first attempt and the StagedTask moves through the shared
+// BoundedQueue, so exactly one thread owns it at any instant. A failed
+// fetch carries null `inputs` and `tracker` plus the error in
+// `fetch_status`; the attempt fails and the task retries.
 struct StagedTask {
   int64_t index = -1;  // into the materialized task list
   std::unique_ptr<gpumm::StagedBlockSource> inputs;
@@ -62,8 +56,8 @@ struct StagedTask {
 
 // Deterministic per-(task, attempt) crash decision — a pure function, so
 // retry counts are identical across fault points, prefetch depths, and
-// worker counts (the fetch stage and the compute stage can both evaluate
-// it and agree).
+// worker counts (a fetch thread and the worker that later runs the attempt
+// both evaluate it and agree).
 bool CrashDecision(int64_t task_id, int attempt, double rate) {
   if (rate <= 0.0) return false;
   uint64_t h = static_cast<uint64_t>(task_id) * 0x9e3779b97f4a7c15ULL +
@@ -179,25 +173,11 @@ class RealExecutor::Impl {
     // rather than per-instrument reads: when two Sessions share a process,
     // interleaved reads would attribute another run's traffic to this one.
     const obs::MetricsSnapshot base = metrics->Snapshot();
-    const int64_t base_repartition_bytes =
-        base.TotalValue("distme.shuffle.repartition_bytes");
-    const int64_t base_aggregation_bytes =
-        base.TotalValue("distme.shuffle.aggregation_bytes");
-    const int64_t base_fetch_nanos =
-        base.TotalValue("distme.step.repartition_nanos");
-    const int64_t base_compute_nanos =
-        base.TotalValue("distme.step.multiply_nanos");
-    const int64_t base_agg_nanos =
-        base.TotalValue("distme.step.aggregation_nanos");
-    const int64_t base_retries = base.TotalValue("distme.task.retries");
-    const int64_t base_prefetch_hits =
-        base.TotalValue("distme.pipeline.prefetch_hits");
-    const int64_t base_prefetch_stalls =
-        base.TotalValue("distme.pipeline.prefetch_stalls");
-    const int64_t base_stall_nanos =
-        base.TotalValue("distme.pipeline.stall_nanos");
-    const int64_t base_backpressure_waits =
-        base.TotalValue("distme.pipeline.backpressure_waits");
+    // This run's growth of counter `name`, read from the later cut `cut`.
+    auto delta = [&base](const obs::MetricsSnapshot& cut,
+                         std::string_view name) {
+      return cut.TotalValue(name) - base.TotalValue(name);
+    };
     obs::CommMatrixSnapshot comm_base;
     if (options.comm != nullptr) comm_base = options.comm->Snapshot();
     // Gauges describe the current run; the peak resets at each run start.
@@ -260,8 +240,8 @@ class RealExecutor::Impl {
     // Aggregation state: partial C blocks keyed by (i, j), each holding its
     // contributions keyed by k_origin. The finalize step merges every
     // block's partials in ascending k_origin, making the reduction order —
-    // and the result bits — deterministic no matter which worker, attempt,
-    // or emit thread delivered each partial first.
+    // and the result bits — deterministic no matter which worker or
+    // attempt delivered each partial first.
     constexpr size_t kShards = 64;
     std::array<std::mutex, kShards> agg_mutexes;
     std::array<
@@ -318,44 +298,63 @@ class RealExecutor::Impl {
       return blk;
     };
 
-    // Fetches every input block of `task` into `inputs`. Box tasks fetch
-    // each distinct block once (communication sharing); strided tasks fetch
-    // per voxel. When `crash_mid_prefetch`, the injected crash strikes right
-    // after the first block lands — the kMidPrefetch fault point.
-    auto fetch_inputs = [&](const mm::LocalTask& task, int node,
-                            gpumm::StagedBlockSource* inputs,
-                            MemoryTracker* tracker_ptr,
-                            bool crash_mid_prefetch, bool* injected,
-                            int64_t* staged_bytes) -> Status {
-      Status fetch_status = Status::OK();
+    // Fetches the inputs of one attempt of `task` into a fresh StagedTask
+    // whose tracker reports memory high-water marks on (node, `slot`). Box
+    // tasks fetch each distinct block once (communication sharing); strided
+    // tasks fetch per voxel. When `crash` and the fault point is
+    // kMidPrefetch, the injected crash strikes right after the first block
+    // lands. A failed fetch releases its blocks and reservations before it
+    // returns — the lineage contract at the pipeline boundary.
+    auto stage = [&](const mm::LocalTask& task, int slot, bool crash) {
+      const int node = static_cast<int>(task.id % config_.num_nodes);
+      StagedTask staged;
+      staged.inputs = std::make_unique<gpumm::StagedBlockSource>();
+      staged.tracker = std::make_unique<MemoryTracker>(
+          "task " + std::to_string(task.id), config_.task_memory_bytes);
+      staged.tracker->AttachMetrics(used_memory, peak_memory, oom_rejections);
+      staged.tracker->AttachFlight(flight, node, slot);
+      MemoryTracker* tracker_ptr =
+          options.enforce_task_memory ? staged.tracker.get() : nullptr;
+      gpumm::StagedBlockSource& inputs = *staged.inputs;
+      Stopwatch fetch_clock;
+      obs::TraceSpan fetch_span(tracer, "task.fetch", "task");
       auto need_a = [&](int64_t i, int64_t k) -> Status {
-        if (task.inputs_shared && inputs->HasA(i, k)) return Status::OK();
+        if (task.inputs_shared && inputs.HasA(i, k)) return Status::OK();
         DISTME_ASSIGN_OR_RETURN(Block blk,
                                 fetch(a, BlockIndex{i, k}, node, tracker_ptr));
-        *staged_bytes += blk.SizeBytes();
-        inputs->StageA(i, k, std::move(blk));
+        staged.staged_bytes += blk.SizeBytes();
+        inputs.StageA(i, k, std::move(blk));
         return Status::OK();
       };
       auto need_b = [&](int64_t k, int64_t j) -> Status {
-        if (task.inputs_shared && inputs->HasB(k, j)) return Status::OK();
+        if (task.inputs_shared && inputs.HasB(k, j)) return Status::OK();
         DISTME_ASSIGN_OR_RETURN(Block blk,
                                 fetch(b, BlockIndex{k, j}, node, tracker_ptr));
-        *staged_bytes += blk.SizeBytes();
-        inputs->StageB(k, j, std::move(blk));
+        staged.staged_bytes += blk.SizeBytes();
+        inputs.StageB(k, j, std::move(blk));
         return Status::OK();
       };
       task.voxels.ForEach([&](mm::Voxel v) {
-        if (!fetch_status.ok()) return;
+        if (!staged.fetch_status.ok()) return;
         Status st = need_a(v.i, v.k);
-        if (st.ok() && crash_mid_prefetch) {
+        if (st.ok() && crash &&
+            options.fault_point == FaultPoint::kMidPrefetch) {
           // The attempt dies holding its first in-flight prefetched block.
-          *injected = true;
+          staged.injected = true;
           st = Status::Internal("injected task crash");
         }
         if (st.ok()) st = need_b(v.k, v.j);
-        if (!st.ok()) fetch_status = std::move(st);
+        if (!st.ok()) staged.fetch_status = std::move(st);
       });
-      return fetch_status;
+      fetch_span.End();
+      fetch_nanos->Add(
+          static_cast<int64_t>(fetch_clock.ElapsedSeconds() * 1e9));
+      if (!staged.fetch_status.ok()) {
+        staged.inputs.reset();
+        staged.tracker.reset();
+        staged.staged_bytes = 0;
+      }
+      return staged;
     };
 
     auto emit = [&](BlockIndex idx, Block block, int64_t k_origin,
@@ -492,88 +491,32 @@ class RealExecutor::Impl {
       return Status::OK();
     };
 
-    // One synchronous attempt: fetch + compute on the calling thread, the
-    // legacy (depth 0) execution path — also the retry path at any depth.
-    // Returns the pre-commit status; on OK, `*outputs` is ready to commit.
-    auto run_attempt_sync = [&](const mm::LocalTask& task, int slot,
-                                bool crash, std::vector<PendingEmit>* outputs,
-                                bool* injected) -> Status {
-      const int node = static_cast<int>(task.id % config_.num_nodes);
-      MemoryTracker tracker("task " + std::to_string(task.id),
-                                     config_.task_memory_bytes);
-      tracker.AttachMetrics(used_memory, peak_memory, oom_rejections);
-      tracker.AttachFlight(flight, node, slot);
-      MemoryTracker* tracker_ptr =
-          options.enforce_task_memory ? &tracker : nullptr;
-
-      gpumm::StagedBlockSource inputs;
-      Stopwatch fetch_clock;
-      obs::TraceSpan fetch_span(tracer, "task.fetch", "task");
-      int64_t staged_bytes = 0;
-      Status fetch_status = fetch_inputs(
-          task, node, &inputs, tracker_ptr,
-          crash && options.fault_point == FaultPoint::kMidPrefetch, injected,
-          &staged_bytes);
-      fetch_span.End();
-      const double fetch_seconds = fetch_clock.ElapsedSeconds();
-      fetch_nanos->Add(static_cast<int64_t>(fetch_seconds * 1e9));
-      if (flight != nullptr) {
-        flight->RecordEdge(obs::FlightEdgeKind::kFetchWait, node, slot,
-                           task.id,
-                           static_cast<int64_t>(fetch_seconds * 1e6));
-      }
-      DISTME_RETURN_NOT_OK(fetch_status);
-      if (crash && options.fault_point == FaultPoint::kBeforeCompute) {
-        // The fetched inputs (and their reservations) die with the attempt.
-        *injected = true;
-        return Status::Internal("injected task crash");
-      }
-      DISTME_RETURN_NOT_OK(
-          compute_task(task, node, slot, inputs, tracker_ptr, outputs));
-      if (crash && options.fault_point == FaultPoint::kBeforeCommit) {
-        // Injected fault: the attempt dies holding its uncommitted outputs.
-        *injected = true;
-        outputs->clear();
-        return Status::Internal("injected task crash");
-      }
-      return Status::OK();
-    };
-
-    // How an attempt's buffered outputs reach the aggregation/output matrix:
-    // inline at depth 0, via the per-worker emit queue at depth > 0. Set
-    // below, once the pipeline (if any) exists; execute_task calls through
-    // this indirection.
-    std::function<Status(int, int, std::vector<PendingEmit>&&)> commit_fn;
-
-    // The attempt loop for one task on compute slot `slot`. When `staged`
-    // is non-null (depth > 0) the first attempt consumes the prefetched
-    // inputs and its fetch_wait is the pop stall (`pop_stall_seconds`,
-    // started at flight timestamp `pipeline_start_us`); retries fall back
-    // to the synchronous path. Commit errors are run-fatal — a partially
+    // The attempt loop for one task on compute slot `slot`. When
+    // `prefetched` is non-null (depth > 0) attempt 0 consumes those staged
+    // inputs: it began at flight time `wait_begin_us`, when the worker
+    // started waiting on the staging queue, and its fetch_wait is the pop
+    // stall — only the wait prefetch failed to hide, which is what the
+    // critical-path analyzer should see. Every other attempt stages its
+    // inputs inline and waits for the whole fetch. A successful attempt
+    // commits its outputs inline; commit errors are run-fatal — a partially
     // applied commit is never replayed, so reducer blocks cannot be
     // double-counted.
     auto execute_task = [&](const mm::LocalTask& task, int slot,
-                            StagedTask* staged, int64_t pipeline_start_us,
+                            StagedTask* prefetched, int64_t wait_begin_us,
                             double pop_stall_seconds) -> Status {
       const int node = static_cast<int>(task.id % config_.num_nodes);
       Status st = Status::OK();
       for (int attempt = 0; attempt < options.max_task_attempts; ++attempt) {
         const bool crash =
             CrashDecision(task.id, attempt, options.task_failure_rate);
-        const bool pipelined = staged != nullptr && attempt == 0;
+        const bool pipelined = prefetched != nullptr && attempt == 0;
         task_attempts->Add(1);
         if (flight != nullptr) {
-          if (pipelined) {
-            // The attempt began when the worker started waiting on the
-            // fetch stage, so the stall edge below lands inside the
-            // attempt's [start, finish] span.
-            flight->RecordAt(pipeline_start_us,
-                             obs::FlightEventType::kTaskStart, node, slot,
-                             task.id, attempt);
-          } else {
-            flight->Record(obs::FlightEventType::kTaskStart, node, slot,
+          // A prefetched attempt is stamped at the start of its pop wait, so
+          // the stall edge below lands inside its [start, finish] span.
+          flight->RecordAt(pipelined ? wait_begin_us : flight->NowMicros(),
+                           obs::FlightEventType::kTaskStart, node, slot,
                            task.id, attempt);
-          }
         }
         const int wd_token =
             options.watchdog != nullptr
@@ -584,51 +527,46 @@ class RealExecutor::Impl {
         attempt_span.AddArg("task", task.id);
         attempt_span.AddArg("attempt", static_cast<int64_t>(attempt));
         attempt_span.AddArg("voxels", task.voxels.size());
-        std::vector<PendingEmit> outputs;
-        bool injected = false;
-        if (pipelined) {
-          // With prefetch, the attempt's fetch_wait is only the time the
-          // worker actually stalled waiting for staged inputs — the
-          // overlap the critical-path analyzer should see.
-          if (flight != nullptr) {
-            flight->RecordEdge(
-                obs::FlightEdgeKind::kFetchWait, node, slot, task.id,
-                static_cast<int64_t>(pop_stall_seconds * 1e6));
-          }
-          st = staged->fetch_status;
-          injected = staged->injected;
-          if (st.ok() && crash &&
-              options.fault_point == FaultPoint::kBeforeCompute) {
-            injected = true;
-            st = Status::Internal("injected task crash");
-          }
-          if (st.ok()) {
-            MemoryTracker* tracker_ptr =
-                options.enforce_task_memory ? staged->tracker.get() : nullptr;
-            st = compute_task(task, node, slot, *staged->inputs, tracker_ptr,
-                              &outputs);
-          }
-          if (st.ok() && crash &&
-              options.fault_point == FaultPoint::kBeforeCommit) {
-            injected = true;
-            outputs.clear();
-            st = Status::Internal("injected task crash");
-          }
-          // Attempt 0 is done with the staged state either way. A crashed
-          // attempt releases its prefetched blocks and memory reservations
-          // here — the lineage contract at the pipeline boundary.
-          staged->inputs.reset();
-          staged->tracker.reset();
-        } else {
-          st = run_attempt_sync(task, slot, crash, &outputs, &injected);
+        Stopwatch fetch_clock;
+        StagedTask staged =
+            pipelined ? std::move(*prefetched) : stage(task, slot, crash);
+        const double fetch_wait_seconds =
+            pipelined ? pop_stall_seconds : fetch_clock.ElapsedSeconds();
+        if (flight != nullptr) {
+          flight->RecordEdge(obs::FlightEdgeKind::kFetchWait, node, slot,
+                             task.id,
+                             static_cast<int64_t>(fetch_wait_seconds * 1e6));
         }
+        st = staged.fetch_status;
+        bool injected = staged.injected;
+        if (st.ok() && crash &&
+            options.fault_point == FaultPoint::kBeforeCompute) {
+          // The fetched inputs (and their reservations) die with the attempt.
+          injected = true;
+          st = Status::Internal("injected task crash");
+        }
+        std::vector<PendingEmit> outputs;
+        if (st.ok()) {
+          MemoryTracker* tracker_ptr =
+              options.enforce_task_memory ? staged.tracker.get() : nullptr;
+          st = compute_task(task, node, slot, *staged.inputs, tracker_ptr,
+                            &outputs);
+        }
+        if (st.ok() && crash &&
+            options.fault_point == FaultPoint::kBeforeCommit) {
+          // Injected fault: the attempt dies holding its uncommitted outputs.
+          injected = true;
+          outputs.clear();
+          st = Status::Internal("injected task crash");
+        }
+        // The attempt is done with its inputs either way; a crashed attempt
+        // releases its staged blocks and memory reservations here.
+        staged = StagedTask();
         bool commit_failed = false;
-        if (st.ok() && !outputs.empty()) {
-          Status commit_status = commit_fn(slot, node, std::move(outputs));
-          if (!commit_status.ok()) {
-            commit_failed = true;
-            st = std::move(commit_status);
-          }
+        for (size_t i = 0; st.ok() && i < outputs.size(); ++i) {
+          PendingEmit& pe = outputs[i];
+          st = emit(pe.idx, std::move(pe.block), pe.k_origin, node);
+          commit_failed = !st.ok();
         }
         const double attempt_seconds =
             (pipelined ? pop_stall_seconds : 0.0) +
@@ -660,11 +598,13 @@ class RealExecutor::Impl {
       return st;
     };
 
-    // Worker pool: one compute thread per task slot. At depth > 0 each
-    // compute worker w is flanked by its own fetch thread (stages the next
-    // up-to-depth tasks' inputs through stage_queues[w], throttled per node
-    // by a PrefetchGate) and its own emit thread (drains committed outputs
-    // through emit_queues[w]) — fetch, compute, and emit overlap.
+    // Worker pool: one compute thread per task slot. At depth 0 a worker
+    // claims tasks from the shared cursor and stages each attempt inline.
+    // At depth k > 0 each worker also gets a fetch thread: fetch threads
+    // claim tasks from the cursor, stage their first attempts (throttled
+    // per node by a PrefetchGate), and push them into one shared queue of
+    // k × workers entries that any idle worker pops — so no worker hoards
+    // staged tasks while another slot sits idle.
     const int num_workers = static_cast<int>(
         std::min<int64_t>(config_.total_slots(),
                           static_cast<int64_t>(tasks.size())));
@@ -678,213 +618,105 @@ class RealExecutor::Impl {
           tracer->SetThreadName(n, w, "slot" + std::to_string(w));
           if (pipelined_run) {
             tracer->SetThreadName(n, pool + w, "fetch" + std::to_string(w));
-            tracer->SetThreadName(n, 2 * pool + w,
-                                  "emit" + std::to_string(w));
           }
         }
       }
     }
 
+    const int64_t staging_budget = options.prefetch_staging_bytes > 0
+                                       ? options.prefetch_staging_bytes
+                                       : config_.node_memory_bytes;
     std::vector<std::unique_ptr<PrefetchGate>> gates;
-    std::vector<std::unique_ptr<BoundedQueue<StagedTask>>> stage_queues;
-    std::vector<std::unique_ptr<BoundedQueue<EmitBatch>>> emit_queues;
-    if (pipelined_run) {
-      const auto depth = static_cast<size_t>(options.prefetch_depth);
-      const int64_t staging_budget = options.prefetch_staging_bytes > 0
-                                         ? options.prefetch_staging_bytes
-                                         : config_.node_memory_bytes;
-      for (int n = 0; n < config_.num_nodes; ++n) {
-        gates.push_back(std::make_unique<PrefetchGate>(staging_budget));
-      }
-      for (int w = 0; w < pool; ++w) {
-        stage_queues.push_back(
-            std::make_unique<BoundedQueue<StagedTask>>(depth));
-        emit_queues.push_back(std::make_unique<BoundedQueue<EmitBatch>>(depth));
-      }
-      commit_fn = [&](int slot, int node,
-                      std::vector<PendingEmit>&& outputs) -> Status {
-        // Hand the committed batch to the emit stage. Push only fails when
-        // the run is already tearing down on a recorded failure, and then
-        // dropping the batch is moot.
-        EmitBatch batch;
-        batch.node = node;
-        batch.outputs = std::move(outputs);
-        (void)emit_queues[static_cast<size_t>(slot)]->Push(std::move(batch));
-        return Status::OK();
-      };
-    } else {
-      commit_fn = [&](int /*slot*/, int node,
-                      std::vector<PendingEmit>&& outputs) -> Status {
-        for (PendingEmit& pe : outputs) {
-          DISTME_RETURN_NOT_OK(
-              emit(pe.idx, std::move(pe.block), pe.k_origin, node));
-        }
-        return Status::OK();
-      };
+    for (int n = 0; n < config_.num_nodes; ++n) {
+      gates.push_back(std::make_unique<PrefetchGate>(staging_budget));
     }
+    const auto depth = static_cast<size_t>(options.prefetch_depth);
+    BoundedQueue<StagedTask> staging(depth * static_cast<size_t>(pool));
+    auto gate_of = [&](const StagedTask& staged) -> PrefetchGate& {
+      const mm::LocalTask& task = tasks[static_cast<size_t>(staged.index)];
+      return *gates[static_cast<size_t>(task.id % config_.num_nodes)];
+    };
 
     std::vector<std::thread> fetchers;
-    std::vector<std::thread> emitters;
     std::vector<std::thread> workers;
-    workers.reserve(static_cast<size_t>(pool));
-    if (pipelined_run) {
-      fetchers.reserve(static_cast<size_t>(pool));
-      emitters.reserve(static_cast<size_t>(pool));
-      for (int w = 0; w < pool; ++w) {
-        // Fetch stage: claims tasks from the shared cursor and prefetches
-        // their first-attempt inputs ahead of worker w's compute.
-        fetchers.emplace_back([&, w]() {
-          while (true) {
-            const int64_t t =
-                next_task.fetch_add(1, std::memory_order_relaxed);
-            if (t >= static_cast<int64_t>(tasks.size())) break;
-            if (run_failed()) break;
-            const mm::LocalTask& task = tasks[static_cast<size_t>(t)];
-            const int node = static_cast<int>(task.id % config_.num_nodes);
-            obs::Tracer::ScopedTrack track(node, pool + w);
-            if (gates[static_cast<size_t>(node)]->WaitForHeadroom()) {
-              backpressure_waits->Add(1);
-            }
-            StagedTask staged;
-            staged.index = t;
-            staged.inputs = std::make_unique<gpumm::StagedBlockSource>();
-            staged.tracker = std::make_unique<MemoryTracker>(
-                "task " + std::to_string(task.id), config_.task_memory_bytes);
-            staged.tracker->AttachMetrics(used_memory, peak_memory,
-                                          oom_rejections);
-            staged.tracker->AttachFlight(flight, node, w);
-            MemoryTracker* tracker_ptr =
-                options.enforce_task_memory ? staged.tracker.get() : nullptr;
-            const bool crash_mid =
-                options.fault_point == FaultPoint::kMidPrefetch &&
-                CrashDecision(task.id, /*attempt=*/0,
-                              options.task_failure_rate);
-            Stopwatch fetch_clock;
-            obs::TraceSpan fetch_span(tracer, "task.prefetch", "task");
-            int64_t staged_bytes = 0;
-            bool injected = false;
-            staged.fetch_status =
-                fetch_inputs(task, node, staged.inputs.get(), tracker_ptr,
-                             crash_mid, &injected, &staged_bytes);
-            fetch_span.End();
-            fetch_nanos->Add(
-                static_cast<int64_t>(fetch_clock.ElapsedSeconds() * 1e9));
-            staged.injected = injected;
-            if (!staged.fetch_status.ok()) {
-              // Lineage contract: a crashed or failed prefetch releases its
-              // in-flight blocks and reservations before handover; the
-              // compute stage sees a failed first attempt and retries
-              // synchronously.
-              staged.inputs.reset();
-              staged.tracker.reset();
-              staged.staged_bytes = 0;
-            } else {
-              staged.staged_bytes = staged_bytes;
-              gates[static_cast<size_t>(node)]->Charge(staged_bytes);
-            }
-            const int64_t charged = staged.staged_bytes;
-            if (!stage_queues[static_cast<size_t>(w)]->Push(
-                    std::move(staged))) {
-              // Consumer closed the queue (failure teardown).
-              gates[static_cast<size_t>(node)]->Release(charged);
-              break;
-            }
+    for (int w = 0; pipelined_run && w < pool; ++w) {
+      fetchers.emplace_back([&, w]() {
+        while (true) {
+          const int64_t t = next_task.fetch_add(1, std::memory_order_relaxed);
+          if (t >= static_cast<int64_t>(tasks.size())) break;
+          if (run_failed()) break;
+          const mm::LocalTask& task = tasks[static_cast<size_t>(t)];
+          const int node = static_cast<int>(task.id % config_.num_nodes);
+          obs::Tracer::ScopedTrack track(node, pool + w);
+          PrefetchGate& gate = *gates[static_cast<size_t>(node)];
+          if (gate.WaitForHeadroom()) backpressure_waits->Add(1);
+          StagedTask staged = stage(
+              task, w,
+              CrashDecision(task.id, /*attempt=*/0, options.task_failure_rate));
+          staged.index = t;
+          const int64_t charged = staged.staged_bytes;
+          gate.Charge(charged);
+          if (!staging.Push(std::move(staged))) {
+            gate.Release(charged);  // a worker closed the queue on failure
+            break;
           }
-          stage_queues[static_cast<size_t>(w)]->Close();
-        });
-        // Emit stage: applies committed output batches to the aggregation
-        // maps / output matrix while worker w already computes the next
-        // task. Emit errors are run-fatal (see execute_task).
-        emitters.emplace_back([&, w]() {
-          while (std::optional<EmitBatch> batch =
-                     emit_queues[static_cast<size_t>(w)]->Pop()) {
-            if (run_failed()) continue;  // drain without emitting
-            obs::Tracer::ScopedTrack track(batch->node, 2 * pool + w);
-            for (PendingEmit& pe : batch->outputs) {
-              Status st =
-                  emit(pe.idx, std::move(pe.block), pe.k_origin, batch->node);
-              if (!st.ok()) {
-                record_failure(std::move(st));
-                break;
-              }
-            }
-          }
-        });
-        // Compute stage.
-        workers.emplace_back([&, w]() {
-          while (true) {
+        }
+      });
+    }
+    for (int w = 0; w < pool; ++w) {
+      workers.emplace_back([&, w]() {
+        while (true) {
+          StagedTask prefetched;
+          int64_t wait_begin_us = 0;
+          double stall_seconds = 0;
+          int64_t t = 0;
+          if (pipelined_run) {
             Stopwatch pop_clock;
-            const int64_t wait_begin_us =
-                flight != nullptr ? flight->NowMicros() : 0;
+            wait_begin_us = flight != nullptr ? flight->NowMicros() : 0;
             bool stalled = false;
-            std::optional<StagedTask> popped =
-                stage_queues[static_cast<size_t>(w)]->Pop(&stalled);
+            std::optional<StagedTask> popped = staging.Pop(&stalled);
             if (!popped.has_value()) break;  // closed and fully drained
-            const double stall_seconds =
-                stalled ? pop_clock.ElapsedSeconds() : 0.0;
-            StagedTask staged = std::move(*popped);
-            const mm::LocalTask& task =
-                tasks[static_cast<size_t>(staged.index)];
-            const int node = static_cast<int>(task.id % config_.num_nodes);
+            prefetched = std::move(*popped);
+            t = prefetched.index;
             // The staged bytes leave the prefetch window the moment compute
             // takes ownership.
-            gates[static_cast<size_t>(node)]->Release(staged.staged_bytes);
+            gate_of(prefetched).Release(prefetched.staged_bytes);
             if (stalled) {
+              stall_seconds = pop_clock.ElapsedSeconds();
               prefetch_stalls->Add(1);
               pipeline_stall_nanos->Add(
                   static_cast<int64_t>(stall_seconds * 1e9));
             } else {
               prefetch_hits->Add(1);
             }
-            if (run_failed()) break;  // `staged` dtor releases its state
-            obs::Tracer::ScopedTrack track(node, w);
-            Status st =
-                execute_task(task, w, &staged, wait_begin_us, stall_seconds);
-            if (!st.ok()) record_failure(std::move(st));
-          }
-          // Teardown: stop our fetch thread and return the gate charges of
-          // anything it had already staged.
-          stage_queues[static_cast<size_t>(w)]->Close();
-          while (std::optional<StagedTask> rest =
-                     stage_queues[static_cast<size_t>(w)]->Pop()) {
-            const mm::LocalTask& task =
-                tasks[static_cast<size_t>(rest->index)];
-            gates[static_cast<size_t>(task.id % config_.num_nodes)]->Release(
-                rest->staged_bytes);
-          }
-        });
-      }
-    } else {
-      for (int w = 0; w < pool; ++w) {
-        workers.emplace_back([&, w]() {
-          while (true) {
-            const int64_t t =
-                next_task.fetch_add(1, std::memory_order_relaxed);
+          } else {
+            t = next_task.fetch_add(1, std::memory_order_relaxed);
             if (t >= static_cast<int64_t>(tasks.size())) break;
-            if (run_failed()) break;
-            const mm::LocalTask& task = tasks[static_cast<size_t>(t)];
-            const int node = static_cast<int>(task.id % config_.num_nodes);
-            // All spans opened under this worker (task body, shuffle
-            // transfers, GPU chunks) land on the (node, slot) track.
-            obs::Tracer::ScopedTrack track(node, w);
-            Status st = execute_task(task, w, /*staged=*/nullptr,
-                                     /*pipeline_start_us=*/0,
-                                     /*pop_stall_seconds=*/0.0);
-            if (!st.ok()) record_failure(std::move(st));
           }
-        });
-      }
+          if (run_failed()) break;  // `prefetched` dtor releases its state
+          const mm::LocalTask& task = tasks[static_cast<size_t>(t)];
+          // All spans opened under this worker (task body, shuffle
+          // transfers, GPU chunks) land on the (node, slot) track.
+          obs::Tracer::ScopedTrack track(
+              static_cast<int>(task.id % config_.num_nodes), w);
+          Status st = execute_task(task, w,
+                                   pipelined_run ? &prefetched : nullptr,
+                                   wait_begin_us, stall_seconds);
+          if (!st.ok()) record_failure(std::move(st));
+        }
+        // Stop the fetch threads and return the gate charges of anything
+        // still staged (a no-op once the queue has drained, and at depth 0).
+        staging.Close();
+        while (std::optional<StagedTask> rest = staging.Pop()) {
+          gate_of(*rest).Release(rest->staged_bytes);
+        }
+      });
     }
-    for (auto& th : workers) th.join();
+    // Every task is staged once the fetch threads exit; closing the queue
+    // then lets the workers drain it and finish.
     for (auto& th : fetchers) th.join();
-    for (auto& q : emit_queues) q->Close();
-    for (auto& th : emitters) th.join();
-
-    int64_t queue_high_water = 0;
-    for (auto& q : stage_queues) {
-      queue_high_water =
-          std::max(queue_high_water, static_cast<int64_t>(q->high_water()));
-    }
+    staging.Close();
+    for (auto& th : workers) th.join();
 
     RealRunResult result;
     result.report.method_name = method.name();
@@ -892,29 +724,23 @@ class RealExecutor::Impl {
     result.report.num_tasks = static_cast<int64_t>(tasks.size());
     if (pipelined_run) {
       const obs::MetricsSnapshot pipe_cut = metrics->Snapshot();
-      result.report.pipeline.prefetch_depth = options.prefetch_depth;
-      result.report.pipeline.prefetch_hits =
-          pipe_cut.TotalValue("distme.pipeline.prefetch_hits") -
-          base_prefetch_hits;
-      result.report.pipeline.prefetch_stalls =
-          pipe_cut.TotalValue("distme.pipeline.prefetch_stalls") -
-          base_prefetch_stalls;
-      result.report.pipeline.stall_seconds =
-          static_cast<double>(
-              pipe_cut.TotalValue("distme.pipeline.stall_nanos") -
-              base_stall_nanos) *
-          1e-9;
-      result.report.pipeline.backpressure_waits =
-          pipe_cut.TotalValue("distme.pipeline.backpressure_waits") -
-          base_backpressure_waits;
-      result.report.pipeline.queue_high_water = queue_high_water;
+      PipelineStats& pipe = result.report.pipeline;
+      pipe.prefetch_depth = options.prefetch_depth;
+      pipe.prefetch_hits = delta(pipe_cut, "distme.pipeline.prefetch_hits");
+      pipe.prefetch_stalls = delta(pipe_cut, "distme.pipeline.prefetch_stalls");
+      pipe.stall_seconds =
+          1e-9 * static_cast<double>(
+                     delta(pipe_cut, "distme.pipeline.stall_nanos"));
+      pipe.backpressure_waits =
+          delta(pipe_cut, "distme.pipeline.backpressure_waits");
+      pipe.queue_high_water = static_cast<int64_t>(staging.high_water());
       metrics->GetGauge("distme.pipeline.queue_high_water")
-          ->Set(queue_high_water);
+          ->Set(pipe.queue_high_water);
     }
 
     if (!failure.ok()) {
       result.report.task_retries =
-          metrics->Snapshot().TotalValue("distme.task.retries") - base_retries;
+          delta(metrics->Snapshot(), "distme.task.retries");
       if (flight != nullptr) {
         flight->Record(obs::FlightEventType::kRunFinish, /*node=*/-1,
                        /*slot=*/-1, static_cast<int64_t>(tasks.size()),
@@ -990,28 +816,20 @@ class RealExecutor::Impl {
     const obs::MetricsSnapshot final_cut = metrics->Snapshot();
     result.report.outcome = Status::OK();
     result.report.elapsed_seconds = total_clock.ElapsedSeconds();
-    result.report.task_retries =
-        final_cut.TotalValue("distme.task.retries") - base_retries;
+    auto delta_seconds = [&](std::string_view nanos_counter) {
+      return 1e-9 * static_cast<double>(delta(final_cut, nanos_counter));
+    };
+    result.report.task_retries = delta(final_cut, "distme.task.retries");
     result.report.steps.repartition_seconds =
-        static_cast<double>(
-            final_cut.TotalValue("distme.step.repartition_nanos") -
-            base_fetch_nanos) *
-        1e-9;
+        delta_seconds("distme.step.repartition_nanos");
     result.report.steps.multiply_seconds =
-        static_cast<double>(final_cut.TotalValue("distme.step.multiply_nanos") -
-                            base_compute_nanos) *
-        1e-9;
+        delta_seconds("distme.step.multiply_nanos");
     result.report.steps.aggregation_seconds =
-        static_cast<double>(
-            final_cut.TotalValue("distme.step.aggregation_nanos") -
-            base_agg_nanos) *
-        1e-9;
+        delta_seconds("distme.step.aggregation_nanos");
     result.report.repartition_bytes = static_cast<double>(
-        final_cut.TotalValue("distme.shuffle.repartition_bytes") -
-        base_repartition_bytes);
+        delta(final_cut, "distme.shuffle.repartition_bytes"));
     result.report.aggregation_bytes = static_cast<double>(
-        final_cut.TotalValue("distme.shuffle.aggregation_bytes") -
-        base_aggregation_bytes);
+        delta(final_cut, "distme.shuffle.aggregation_bytes"));
     result.report.peak_task_memory_bytes = static_cast<double>(
         final_cut.TotalValue("distme.task.peak_memory_bytes"));
     if (config_.has_gpu && mode != ComputeMode::kCpu) {

@@ -63,12 +63,12 @@ struct RealOptions {
   /// function of (task id, attempt), so retry counts are identical across
   /// fault points and prefetch depths.
   FaultPoint fault_point = FaultPoint::kBeforeCommit;
-  /// Prefetch pipeline depth k: each worker's fetch stage prefetches the
-  /// inputs of up to k upcoming tasks (first attempts) while the worker
-  /// computes, and a per-worker emit stage drains committed outputs — the
-  /// fetch / compute / emit stages overlap instead of running as one
-  /// serial chain per task. 0 (the default) is the legacy synchronous
-  /// path. Results are bit-identical across depths: aggregation merges
+  /// Prefetch pipeline depth k: at k > 0 one fetch thread per worker stages
+  /// the inputs of upcoming tasks' first attempts into one shared queue of
+  /// k × workers entries, which any idle worker pops, so fetch overlaps
+  /// compute. 0 (the default) fetches every attempt's inputs inline.
+  /// Outputs commit inline at every depth, and retries always refetch
+  /// inline. Results are bit-identical across depths: aggregation merges
   /// partials in deterministic k-order regardless of arrival order.
   int prefetch_depth = 0;
   /// Per-node byte budget for blocks staged ahead of compute (the

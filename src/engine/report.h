@@ -34,17 +34,17 @@ struct StepBreakdown {
 
 /// \brief Counters from the prefetch pipeline (real executor, depth > 0).
 struct PipelineStats {
-  /// Configured prefetch depth k (0 = legacy synchronous execution).
+  /// Configured prefetch depth k (0 = every attempt fetches inline).
   int64_t prefetch_depth = 0;
   /// Task pops that found staged inputs already waiting (no stall).
   int64_t prefetch_hits = 0;
-  /// Task pops that had to wait for the fetch stage.
+  /// Task pops that had to wait for the fetch threads.
   int64_t prefetch_stalls = 0;
-  /// Total time compute spent stalled waiting on the fetch stage.
+  /// Total time compute spent stalled waiting on the fetch threads.
   double stall_seconds = 0;
   /// Prefetches delayed by the per-node staging-memory gate.
   int64_t backpressure_waits = 0;
-  /// Maximum staging-queue occupancy observed across workers.
+  /// Maximum occupancy of the shared staging queue (at most k × workers).
   int64_t queue_high_water = 0;
 };
 

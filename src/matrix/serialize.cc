@@ -38,19 +38,36 @@ class Reader {
     return Status::OK();
   }
 
+  // Reads an element count and checks that that many elements of T remain
+  // unread, before the caller allocates anything for them. Divides rather
+  // than multiplies, so a hostile count cannot wrap the check.
+  template <typename T>
+  Status ReadCount(int64_t* n) {
+    DISTME_RETURN_NOT_OK(Read(n));
+    if (*n < 0 ||
+        static_cast<uint64_t>(*n) > (buf_.size() - pos_) / sizeof(T)) {
+      return Status::IOError("truncated block buffer (array)");
+    }
+    return Status::OK();
+  }
+
+  // Fills `out` with one memcpy; its size must be a count that
+  // ReadCount<T> has just checked.
+  template <typename T>
+  void ReadInto(std::vector<T>* out) {
+    const size_t bytes = out->size() * sizeof(T);
+    if (bytes > 0) {  // data() may be null for an empty vector (UB for memcpy)
+      std::memcpy(out->data(), buf_.data() + pos_, bytes);
+    }
+    pos_ += bytes;
+  }
+
   template <typename T>
   Status ReadVector(std::vector<T>* out) {
     int64_t n = 0;
-    DISTME_RETURN_NOT_OK(Read(&n));
-    if (n < 0 || pos_ + static_cast<size_t>(n) * sizeof(T) > buf_.size()) {
-      return Status::IOError("truncated block buffer (vector)");
-    }
+    DISTME_RETURN_NOT_OK(ReadCount<T>(&n));
     out->resize(static_cast<size_t>(n));
-    if (n > 0) {  // data() may be null for an empty vector (UB for memcpy)
-      std::memcpy(out->data(), buf_.data() + pos_,
-                  static_cast<size_t>(n) * sizeof(T));
-    }
-    pos_ += static_cast<size_t>(n) * sizeof(T);
+    ReadInto(out);
     return Status::OK();
   }
 
@@ -104,11 +121,14 @@ Result<Block> DeserializeBlock(const std::vector<uint8_t>& buffer) {
 
   if (fmt == 0) {
     int64_t n = 0;
-    DISTME_RETURN_NOT_OK(reader.Read(&n));
+    DISTME_RETURN_NOT_OK(reader.ReadCount<double>(&n));
     if (n == 0) return Block::Zero(rows, cols);
-    if (n != rows * cols) return Status::IOError("dense payload size mismatch");
+    // n == rows * cols, tested by division because the product can overflow.
+    if (n % cols != 0 || n / cols != rows) {
+      return Status::IOError("dense payload size mismatch");
+    }
     std::vector<double> data(static_cast<size_t>(n));
-    for (auto& v : data) DISTME_RETURN_NOT_OK(reader.Read(&v));
+    reader.ReadInto(&data);
     return Block::Dense(DenseMatrix(rows, cols, std::move(data)));
   }
 
@@ -118,26 +138,13 @@ Result<Block> DeserializeBlock(const std::vector<uint8_t>& buffer) {
   DISTME_RETURN_NOT_OK(reader.ReadVector(&row_ptr));
   DISTME_RETURN_NOT_OK(reader.ReadVector(&col_idx));
   DISTME_RETURN_NOT_OK(reader.ReadVector(&values));
-  if (row_ptr.size() != static_cast<size_t>(rows) + 1 ||
-      col_idx.size() != values.size()) {
-    return Status::IOError("sparse payload size mismatch");
+  Result<CsrMatrix> csr =
+      CsrMatrix::FromArrays(rows, cols, std::move(row_ptr), std::move(col_idx),
+                            std::move(values));
+  if (!csr.ok()) {
+    return Status::IOError("corrupt CSR payload: " + csr.status().message());
   }
-  // Rebuild via triplets to validate index ranges.
-  std::vector<Triplet> triplets;
-  triplets.reserve(values.size());
-  for (int64_t r = 0; r < rows; ++r) {
-    for (int64_t k = row_ptr[r]; k < row_ptr[r + 1]; ++k) {
-      if (k < 0 || static_cast<size_t>(k) >= values.size()) {
-        return Status::IOError("corrupt CSR row pointers");
-      }
-      triplets.push_back({r, col_idx[static_cast<size_t>(k)],
-                          values[static_cast<size_t>(k)]});
-    }
-  }
-  DISTME_ASSIGN_OR_RETURN(CsrMatrix csr,
-                          CsrMatrix::FromTriplets(rows, cols,
-                                                  std::move(triplets)));
-  return Block::Sparse(std::move(csr));
+  return Block::Sparse(std::move(*csr));
 }
 
 int64_t SerializedBlockBytes(const Block& block) {

@@ -57,6 +57,43 @@ Result<CsrMatrix> CsrMatrix::FromTriplets(int64_t rows, int64_t cols,
   return m;
 }
 
+Result<CsrMatrix> CsrMatrix::FromArrays(int64_t rows, int64_t cols,
+                                        std::vector<int64_t> row_ptr,
+                                        std::vector<int64_t> col_idx,
+                                        std::vector<double> values) {
+  if (rows < 0 || cols < 0) return Status::Invalid("negative dimensions");
+  if (static_cast<int64_t>(row_ptr.size()) - 1 != rows ||
+      col_idx.size() != values.size()) {
+    return Status::Invalid("CSR array sizes do not match the shape");
+  }
+  const int64_t nnz = static_cast<int64_t>(values.size());
+  if (row_ptr[0] != 0 || row_ptr[static_cast<size_t>(rows)] != nnz) {
+    return Status::Invalid("CSR row pointers must run from 0 to nnz");
+  }
+  for (size_t r = 0; r < static_cast<size_t>(rows); ++r) {
+    const int64_t begin = row_ptr[r];
+    const int64_t end = row_ptr[r + 1];
+    if (end < begin || end > nnz) {
+      return Status::Invalid("CSR row pointers are not non-decreasing");
+    }
+    for (int64_t k = begin; k < end; ++k) {
+      const int64_t c = col_idx[static_cast<size_t>(k)];
+      if (c < 0 || c >= cols ||
+          (k > begin && c <= col_idx[static_cast<size_t>(k) - 1])) {
+        return Status::Invalid(
+            "CSR column out of range or not increasing within its row");
+      }
+    }
+  }
+  CsrMatrix m;
+  m.rows_ = rows;
+  m.cols_ = cols;
+  m.row_ptr_ = std::move(row_ptr);
+  m.col_idx_ = std::move(col_idx);
+  m.values_ = std::move(values);
+  return m;
+}
+
 CsrMatrix CsrMatrix::FromDense(const DenseMatrix& dense) {
   CsrMatrix m;
   m.rows_ = dense.rows();

@@ -28,6 +28,13 @@ class CsrMatrix {
   [[nodiscard]] static Result<CsrMatrix> FromTriplets(int64_t rows, int64_t cols,
                                         std::vector<Triplet> triplets);
 
+  /// \brief Adopts existing CSR arrays after checking them in place: sizes,
+  /// row pointers non-decreasing from 0 to nnz, and column indices in range
+  /// and strictly increasing within each row (At() binary-searches them).
+  [[nodiscard]] static Result<CsrMatrix> FromArrays(
+      int64_t rows, int64_t cols, std::vector<int64_t> row_ptr,
+      std::vector<int64_t> col_idx, std::vector<double> values);
+
   /// \brief Converts a dense matrix, keeping only non-zero entries.
   static CsrMatrix FromDense(const DenseMatrix& dense);
 

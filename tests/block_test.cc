@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "common/random.h"
 #include "matrix/block.h"
 #include "matrix/serialize.h"
@@ -93,6 +95,7 @@ TEST(SerializeTest, DenseRoundTrip) {
   EXPECT_TRUE(restored->IsDense());
   EXPECT_TRUE(
       DenseMatrix::ApproxEquals(restored->dense(), original.dense(), 0.0));
+  EXPECT_EQ(SerializeBlock(*restored), buffer);  // bit for bit
 }
 
 TEST(SerializeTest, SparseRoundTrip) {
@@ -106,6 +109,7 @@ TEST(SerializeTest, SparseRoundTrip) {
   EXPECT_EQ(restored->nnz(), original.nnz());
   EXPECT_TRUE(
       DenseMatrix::ApproxEquals(restored->ToDense(), original.ToDense(), 0.0));
+  EXPECT_EQ(SerializeBlock(*restored), buffer);  // bit for bit
 }
 
 TEST(SerializeTest, ZeroBlockRoundTrip) {
@@ -132,6 +136,75 @@ TEST(SerializeTest, RejectsTruncatedBuffer) {
 
 TEST(SerializeTest, RejectsEmptyBuffer) {
   EXPECT_FALSE(DeserializeBlock({}).ok());
+}
+
+// Overwrites or appends the raw bytes of `value` at `offset`.
+void PutWord(std::vector<uint8_t>* buf, size_t offset, int64_t value) {
+  const size_t end = offset + sizeof(value);
+  if (buf->size() < end) buf->resize(end);
+  std::memcpy(buf->data() + offset, &value, sizeof(value));
+}
+
+// A block header (magic, format, rows, cols) followed by raw int64 words.
+std::vector<uint8_t> HandBuilt(uint8_t format, int64_t rows, int64_t cols,
+                               std::initializer_list<int64_t> words) {
+  std::vector<uint8_t> buf = SerializeBlock(Block::Zero(1, 1));
+  buf.resize(4);  // keep the magic
+  buf.push_back(format);
+  PutWord(&buf, buf.size(), rows);
+  PutWord(&buf, buf.size(), cols);
+  for (int64_t w : words) PutWord(&buf, buf.size(), w);
+  return buf;
+}
+
+TEST(SerializeTest, RejectsHostileLengthsBeforeAllocating) {
+  const std::vector<uint8_t> buffers[] = {
+      // 29 bytes: dense, rows = cols = 2^30 and n = 2^60 = rows * cols, but
+      // no payload follows.
+      HandBuilt(0, int64_t{1} << 30, int64_t{1} << 30, {int64_t{1} << 60}),
+      // 37 bytes: CSR whose row_ptr length prefix 2^61 + 1 wraps n * 8 to 8.
+      HandBuilt(1, 1, 1, {(int64_t{1} << 61) + 1, 0}),
+      // Dense with rows * cols = 2^64, which overflows int64.
+      HandBuilt(0, int64_t{1} << 32, int64_t{1} << 32, {1}),
+  };
+  EXPECT_EQ(buffers[0].size(), 29u);
+  EXPECT_EQ(buffers[1].size(), 37u);
+  for (const std::vector<uint8_t>& buf : buffers) {
+    auto block = DeserializeBlock(buf);
+    ASSERT_FALSE(block.ok());
+    EXPECT_EQ(block.status().code(), StatusCode::kIOError);
+  }
+}
+
+TEST(SerializeTest, RejectsCorruptCsrArrays) {
+  // One row holding columns {1, 3} of 4. After the 21-byte header come the
+  // row_ptr prefix and its two entries, then col_idx's prefix and entries.
+  auto csr = CsrMatrix::FromTriplets(1, 4, {{0, 1, 1.0}, {0, 3, 2.0}});
+  ASSERT_TRUE(csr.ok());
+  const std::vector<uint8_t> good = SerializeBlock(Block::Sparse(*csr));
+  ASSERT_TRUE(DeserializeBlock(good).ok());
+  constexpr size_t kRowPtr = 21 + 8;
+  constexpr size_t kColIdx = kRowPtr + 2 * 8 + 8;
+  struct Corruption {
+    const char* what;
+    size_t offset;
+    int64_t value;
+  };
+  for (const Corruption& c : {
+           Corruption{"column out of order", kColIdx + 8, 0},
+           Corruption{"duplicate column", kColIdx + 8, 1},
+           Corruption{"column past cols", kColIdx + 8, 4},
+           Corruption{"negative column", kColIdx, -1},
+           Corruption{"row_ptr not starting at 0", kRowPtr, 1},
+           Corruption{"row_ptr not ending at nnz", kRowPtr + 8, 1},
+       }) {
+    SCOPED_TRACE(c.what);
+    std::vector<uint8_t> buf = good;
+    PutWord(&buf, c.offset, c.value);
+    auto block = DeserializeBlock(buf);
+    ASSERT_FALSE(block.ok());
+    EXPECT_EQ(block.status().code(), StatusCode::kIOError);
+  }
 }
 
 TEST(SerializeTest, SparseCheaperThanDenseForSparseData) {

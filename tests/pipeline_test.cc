@@ -1,7 +1,7 @@
 // Randomized differential suite for the RealExecutor prefetch pipeline:
 // generated cases sweep shape, block size, sparsity, method (Cuboid / RMM /
-// CPMM), cluster size, and prefetch depth (including depth 0 = the legacy
-// synchronous path). Every pipelined run must agree BIT-FOR-BIT with its
+// CPMM), cluster size, and prefetch depth (including depth 0, where every
+// attempt fetches inline). Every pipelined run must agree BIT-FOR-BIT with its
 // depth-0 twin — aggregation merges partials in deterministic k-order, so
 // overlap must never change result bits. Non-aggregating runs additionally
 // agree bit-for-bit with blas::LocalMultiply (one task covers the full k
@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
 #include <memory>
 #include <string>
 
@@ -19,6 +20,7 @@
 #include "engine/real_executor.h"
 #include "matrix/generator.h"
 #include "mm/methods.h"
+#include "obs/flight_recorder.h"
 
 namespace distme::engine {
 namespace {
@@ -117,7 +119,7 @@ TEST(PipelineDifferentialTest, DepthSweepMatchesLegacyAndLocal) {
                          std::to_string(depth));
             std::unique_ptr<mm::Method> method = cm.make();
 
-            RealOptions legacy;  // depth 0: synchronous fetch→compute→emit
+            RealOptions legacy;  // depth 0: fetch, compute, commit inline
             auto run0 = executor.Run(a, b, *method, legacy);
             ASSERT_TRUE(run0.ok());
             ASSERT_TRUE(run0->report.outcome.ok()) << run0->report.outcome;
@@ -275,6 +277,44 @@ TEST(PipelineTest, WorkerCountDoesNotChangeBits) {
       EXPECT_TRUE(BitIdentical(dense, reference));
     }
   }
+}
+
+TEST(PipelineTest, EveryWorkerGetsWorkAtDepthK) {
+  // Four tasks on four slots with cheap fetches (in-process, no wire
+  // round-trip): every worker slot must start exactly one task. A task's
+  // multiply (~67 MFLOP) dwarfs thread start-up, so no worker can finish
+  // one task and claim a second before the others pop theirs.
+  GeneratorOptions ga;
+  ga.rows = 512;
+  ga.cols = 512;
+  ga.block_size = 128;
+  ga.sparsity = 1.0;
+  ga.seed = 41;
+  GeneratorOptions gb = ga;
+  gb.seed = 42;
+  const ClusterConfig cluster = ClusterConfig::Local(2, 2);
+  DistributedMatrix a =
+      DistributedMatrix::FromGridHashed(GenerateUniform(ga), 2);
+  DistributedMatrix b =
+      DistributedMatrix::FromGridHashed(GenerateUniform(gb), 2);
+  RealExecutor executor(cluster);
+  obs::FlightRecorder flight(4096);
+  RealOptions options;
+  options.prefetch_depth = 2;
+  options.serialize_transfers = false;
+  options.flight = &flight;
+  auto run = executor.Run(a, b, mm::CuboidMethod(mm::CuboidSpec{2, 2, 1}),
+                          options);
+  ASSERT_TRUE(run.ok());
+  ASSERT_TRUE(run->report.outcome.ok()) << run->report.outcome;
+  ASSERT_EQ(run->report.num_tasks, 4);
+
+  std::map<int, int> starts_per_slot;
+  for (const obs::FlightEvent& e : flight.Snapshot()) {
+    if (e.type == obs::FlightEventType::kTaskStart) ++starts_per_slot[e.slot];
+  }
+  const std::map<int, int> balanced = {{0, 1}, {1, 1}, {2, 1}, {3, 1}};
+  EXPECT_EQ(starts_per_slot, balanced);
 }
 
 TEST(PipelineTest, NegativeDepthRejected) {

@@ -365,11 +365,11 @@ TEST(StressConcurrencyTest, MultiSessionMultiplyHammer) {
 // --- Prefetch pipeline ------------------------------------------------------
 
 // Pipeline hammer: concurrent pipelined runs on an 8-slot cluster (4 nodes ×
-// 2 slots), prefetch depth 4 — so every run spins up 8 fetch + 8 compute +
-// 8 emit threads crossing its bounded queues and prefetch gates — while a
+// 2 slots), prefetch depth 4 — so every run spins up 8 fetch + 8 compute
+// threads crossing its shared staging queue and prefetch gates — while a
 // 1 ms sampler snapshots the shared registry and a 1 ms watchdog scans the
 // flight ring the executor records into. Under TSan this is the regression
-// test for the fetch/compute/emit handoff; functionally every pipelined
+// test for the fetch-to-worker handoff; functionally every pipelined
 // result must match the depth-0 bits.
 TEST(StressConcurrencyTest, PipelinedMultiplyHammer) {
   constexpr int kRunners = 4;
