@@ -26,7 +26,6 @@
 #include "obs/flight_recorder.h"
 #include "obs/gpu_timeline.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace distme {
 namespace {
@@ -118,9 +117,9 @@ void BM_SimExecutorCuboid(benchmark::State& state) {
 }
 BENCHMARK(BM_SimExecutorCuboid)->Arg(70000)->Arg(100000);
 
-// The same simulated run with the observability sinks wired but the tracer
-// left disabled — the default configuration of every executor. Comparing
-// against BM_SimExecutorCuboid bounds the disabled-path overhead (<2%).
+// The same simulated run with a metrics registry wired — the default
+// configuration of every executor. Comparing against BM_SimExecutorCuboid
+// bounds the wired-sink overhead (<2%).
 void BM_SimExecutorCuboidObsWiredOff(benchmark::State& state) {
   const int64_t n = state.range(0);
   mm::MMProblem p = mm::MMProblem::DenseSquareBlocks(n, n, n, 1000);
@@ -134,11 +133,9 @@ void BM_SimExecutorCuboidObsWiredOff(benchmark::State& state) {
   }
   mm::CuboidMethod method(opt->spec);
   obs::MetricsRegistry metrics;
-  obs::Tracer tracer;  // wired but disabled: spans cost one relaxed load
   engine::SimOptions gpu;
   gpu.mode = engine::ComputeMode::kGpuStreaming;
   gpu.metrics = &metrics;
-  gpu.tracer = &tracer;
   for (auto _ : state) {
     auto report = executor.Run(p, method, gpu);
     benchmark::DoNotOptimize(report);
@@ -147,44 +144,6 @@ void BM_SimExecutorCuboidObsWiredOff(benchmark::State& state) {
 BENCHMARK(BM_SimExecutorCuboidObsWiredOff)->Arg(70000)->Arg(100000);
 
 // --- Observability hot-path costs (Section "Observability" in DESIGN.md).
-
-void BM_TraceSpanNullTracer(benchmark::State& state) {
-  for (auto _ : state) {
-    obs::TraceSpan span(nullptr, "noop");
-    benchmark::DoNotOptimize(span);
-  }
-}
-BENCHMARK(BM_TraceSpanNullTracer);
-
-void BM_TraceSpanDisabled(benchmark::State& state) {
-  obs::Tracer tracer;  // present but disabled — the default executor path
-  for (auto _ : state) {
-    obs::TraceSpan span(&tracer, "noop");
-    benchmark::DoNotOptimize(span);
-  }
-}
-BENCHMARK(BM_TraceSpanDisabled);
-
-void BM_TraceSpanEnabled(benchmark::State& state) {
-  obs::Tracer tracer;
-  tracer.SetEnabled(true);
-  int64_t pending = 0;
-  for (auto _ : state) {
-    { obs::TraceSpan span(&tracer, "noop"); }
-    // Drain in batches so the buffer stays bounded without timing the
-    // drain on every iteration.
-    if (++pending == 65536) {
-      state.PauseTiming();
-      auto events = tracer.Drain();
-      benchmark::DoNotOptimize(events);
-      pending = 0;
-      state.ResumeTiming();
-    }
-  }
-  auto events = tracer.Drain();
-  benchmark::DoNotOptimize(events);
-}
-BENCHMARK(BM_TraceSpanEnabled);
 
 void BM_FlightRecorderRecord(benchmark::State& state) {
   obs::FlightRecorder flight(512);
@@ -613,9 +572,9 @@ int RunGpuObsOverheadOnly(bench::BenchObs* obs) {
 }
 
 // Runs one real GPU-streaming multiplication with the flight ring wired and
-// dumps it to `path` — a deterministic dump carrying schema-3 device
-// interval events bracketed by run_start/run_finish, for CI to smoke
-// scripts/distme_analyze.py --gpu / --timeline against.
+// dumps it to `path` — a deterministic dump carrying device interval
+// events bracketed by run_start/run_finish, for CI to smoke
+// distme_analyze --gpu / --timeline against.
 int RunGpuFlightDump(const std::string& path) {
   const ClusterConfig cluster = ClusterConfig::Local(2, 2);
   GeneratorOptions ga;
@@ -660,18 +619,15 @@ int RunGpuFlightDump(const std::string& path) {
                  dumped.ToString().c_str());
     return 1;
   }
-  // Print the C++ run aggregate so CI can cross-check the Python mirror
-  // (scripts/distme_analyze.py --gpu) number for number.
   std::printf("gpu flight timeline (%lld tasks, %zu devices) dumped to %s\n",
               static_cast<long long>(result->report.num_tasks),
               analysis.devices.size(), path.c_str());
-  std::printf("gpu run aggregate: %s\n", analysis.ToJson().c_str());
   return 0;
 }
 
 // Runs the simulated CuboidMM workload once with the per-task causal
 // timeline enabled and dumps the flight ring to `path` — a deterministic
-// dump for scripts/distme_analyze.py (CI smokes the analyzer against it).
+// dump for distme_analyze (CI smokes the analyzer against it).
 int RunSimFlightDump(const std::string& path) {
   mm::MMProblem p = mm::MMProblem::DenseSquareBlocks(70000, 70000, 70000, 1000);
   p.a.sparsity = p.b.sparsity = 0.5;
@@ -713,8 +669,8 @@ int RunSimFlightDump(const std::string& path) {
 
 // BENCHMARK_MAIN with the shared --trace-out= flag stripped out before
 // benchmark::Initialize (which rejects flags it does not recognize). The
-// micro benches do not emit spans themselves; the flag still produces a
-// valid (metadata-only) trace file so every bench binary accepts it.
+// micro benches record nothing into the bench's flight ring; the flag still
+// produces a valid (span-free) trace file so every bench binary accepts it.
 //
 // --sampler-overhead-only / --analyzer-overhead-only /
 // --gpu-obs-overhead-only / --pipeline-overlap-only bypass google-benchmark
@@ -723,8 +679,8 @@ int RunSimFlightDump(const std::string& path) {
 // the same bench-json results map. --prefetch-depth=<k> sets the pipelined
 // depth the overlap comparison uses (default 4). --sim-flight-dump=<path> and --gpu-flight-dump=<path> (also
 // google-benchmark-free) write deterministic flight dumps — the simulated
-// causal timeline and a real GPU-streaming run with schema-3 device
-// interval events — for scripts/distme_analyze.py.
+// causal timeline and a real GPU-streaming run with device interval
+// events — for distme_analyze.
 int main(int argc, char** argv) {
   distme::bench::BenchObs obs(argc, argv);
   std::vector<char*> args = distme::bench::BenchObs::StripFlags(argc, argv);

@@ -20,7 +20,6 @@
 #include "obs/metrics.h"
 #include "obs/prom_export.h"
 #include "obs/sampler.h"
-#include "obs/trace.h"
 
 namespace distme::bench {
 
@@ -32,11 +31,13 @@ inline void Banner(const std::string& title) {
 /// \brief Per-binary observability wiring, shared by every bench binary.
 ///
 /// Parses three flags from argv:
-///   --trace-out=<path>    enable the owned tracer; on destruction the
-///                         Chrome trace-event JSON is written to <path>
-///                         (load in chrome://tracing or ui.perfetto.dev —
-///                         one process track per simulated node, one thread
-///                         track per task slot);
+///   --trace-out=<path>    on destruction, write the flight ring as Chrome
+///                         trace-event JSON to <path> (load in
+///                         chrome://tracing or ui.perfetto.dev — one
+///                         process track per simulated node, one thread
+///                         track per task slot, a driver track for runs
+///                         and stages); the ring then holds kTraceEvents
+///                         events instead of 4096, so a bench run fits;
 ///   --metrics-out=<path>  on destruction, dump the owned metrics registry
 ///                         as a JSON array of metric points;
 ///   --bench-json=<path>   on destruction, write the results registered via
@@ -53,23 +54,28 @@ inline void Banner(const std::string& title) {
 ///   --flight-dump=<path>      on destruction, dump the flight-recorder
 ///                             ring (JSON) to <path>; failed executor runs
 ///                             also dump there immediately.
-/// Without the flags the tracer stays disabled (one branch per span) and
-/// nothing is written; the flight recorder itself is always on.
+/// Without the flags nothing is written; the flight recorder itself is
+/// always on.
 class BenchObs {
  public:
-  BenchObs(int argc, char** argv) : bench_name_(BaseName(argc, argv)) {
+  /// Ring capacity under --trace-out=: the largest bench run
+  /// (bench_validation_real, ~5k events) must fit without a drop.
+  static constexpr size_t kTraceEvents = size_t{1} << 16;
+
+  BenchObs(int argc, char** argv)
+      : bench_name_(BaseName(argc, argv)),
+        trace_out_(FlagValue(argc, argv, "--trace-out=")),
+        flight_(trace_out_.empty() ? 4096 : kTraceEvents) {
     std::string http_port;
     std::string sample_period_ms;
     for (int i = 1; i < argc; ++i) {
       const std::string_view arg = argv[i];
-      MatchFlag(arg, "--trace-out=", &trace_out_);
       MatchFlag(arg, "--metrics-out=", &metrics_out_);
       MatchFlag(arg, "--bench-json=", &bench_json_out_);
       MatchFlag(arg, "--http-port=", &http_port);
       MatchFlag(arg, "--sample-period-ms=", &sample_period_ms);
       MatchFlag(arg, "--flight-dump=", &flight_dump_);
     }
-    if (!trace_out_.empty()) tracer_.SetEnabled(true);
     flight_.InstallFatalDump();
     if (!sample_period_ms.empty()) {
       obs::SamplerOptions so;
@@ -127,7 +133,10 @@ class BenchObs {
     }
     flight_.UninstallFatalDump();
     if (!trace_out_.empty()) {
-      const Status st = obs::WriteChromeTrace(tracer_, trace_out_);
+      const Status st = obs::WriteTextFile(
+          trace_out_,
+          obs::ChromeTraceJson(flight_.Snapshot(), flight_.TotalRecorded(),
+                               flight_.capacity()));
       if (st.ok()) {
         std::printf("\ntrace written to %s (open in chrome://tracing or "
                     "ui.perfetto.dev)\n",
@@ -161,7 +170,6 @@ class BenchObs {
   BenchObs& operator=(const BenchObs&) = delete;
 
   obs::MetricsRegistry* metrics() { return &metrics_; }
-  obs::Tracer* tracer() { return &tracer_; }
   obs::CommMatrix* comm() { return &comm_; }
   obs::FlightRecorder* flight() { return &flight_; }
   obs::Sampler* sampler() { return sampler_.get(); }
@@ -169,7 +177,6 @@ class BenchObs {
   int http_port() const {
     return endpoint_ != nullptr ? endpoint_->port() : -1;
   }
-  bool tracing() const { return !trace_out_.empty(); }
 
   /// \brief Registers one named measurement for --bench-json output. Keys
   /// should be stable across runs (they become baseline-comparison keys).
@@ -195,13 +202,12 @@ class BenchObs {
   }
 
   /// \brief Copies the obs sinks into an executor options struct (any type
-  /// with `metrics` / `tracer` / `comm` / `flight` members, i.e.
-  /// RealOptions and SimOptions). RealOptions additionally gets the
-  /// --flight-dump path so a failed run drops its post-mortem immediately.
+  /// with `metrics` / `comm` / `flight` members, i.e. RealOptions and
+  /// SimOptions). RealOptions additionally gets the --flight-dump path so a
+  /// failed run drops its post-mortem immediately.
   template <typename Options>
   void Wire(Options* options) {
     options->metrics = &metrics_;
-    options->tracer = &tracer_;
     options->comm = &comm_;
     if constexpr (requires { options->flight; }) {
       options->flight = &flight_;
@@ -240,6 +246,12 @@ class BenchObs {
     if (IsFlag(arg, flag)) *out = std::string(arg.substr(flag.size()));
   }
 
+  static std::string FlagValue(int argc, char** argv, std::string_view flag) {
+    std::string value;
+    for (int i = 1; i < argc; ++i) MatchFlag(argv[i], flag, &value);
+    return value;
+  }
+
   static std::string BaseName(int argc, char** argv) {
     if (argc < 1 || argv[0] == nullptr) return "bench";
     const std::string_view path = argv[0];
@@ -256,7 +268,6 @@ class BenchObs {
   std::string flight_dump_;
   std::vector<std::pair<std::string, double>> results_;
   obs::MetricsRegistry metrics_;
-  obs::Tracer tracer_;
   obs::CommMatrix comm_;
   obs::FlightRecorder flight_;
   std::unique_ptr<obs::Sampler> sampler_;

@@ -3,7 +3,8 @@
 #   1. the ROADMAP.md tier-1 line: configure, build, ctest
 #   2. a strict whole-tree -Werror build (error discipline: every dropped
 #      Status/Result fails here, via the class-level [[nodiscard]])
-#   3. an end-to-end trace: run a bench with --trace-out= and lint the JSON
+#   3. an end-to-end trace: run a bench with --trace-out= and lint the JSON,
+#      failing if the bench's flight ring dropped any event
 #   4. with --lint: distme-lint over src/ tests/ bench/ plus the linter's own
 #      fixture suite (see scripts/distme_lint.py)
 #   5. with --bench: the perf-regression baseline check (deterministic
@@ -44,7 +45,7 @@ cmake -B build-strict -S . -DDISTME_WERROR=ON >/dev/null
 cmake --build build-strict -j "$(nproc)"
 
 echo
-echo "== emitted trace passes trace_lint =="
+echo "== emitted trace passes trace_lint and dropped no flight event =="
 trace_out="$(mktemp /tmp/distme_trace.XXXXXX.json)"
 trap 'rm -f "$trace_out"' EXIT
 ./build/bench/bench_validation_real --trace-out="$trace_out" >/dev/null

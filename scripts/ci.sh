@@ -52,14 +52,15 @@ scripts/check_tier1.sh "${tier1_args[@]}"
 
 echo
 echo "== causal analyzer smoke: sim flight dump -> distme_analyze =="
+analyze=./build/src/obs/distme_analyze
 dump_a="$(mktemp /tmp/distme_flight.XXXXXX.json)"
 dump_b="$(mktemp /tmp/distme_flight.XXXXXX.json)"
 trap 'rm -f "$dump_a" "$dump_b"' EXIT
 ./build/bench/bench_micro_engine --sim-flight-dump="$dump_a" >/dev/null
 ./build/bench/bench_micro_engine --sim-flight-dump="$dump_b" >/dev/null
-python3 scripts/distme_analyze.py "$dump_a"
+"$analyze" "$dump_a"
 # Two dumps of the same workload must diff to a stable top-1 bottleneck.
-diff_out="$(python3 scripts/distme_analyze.py "$dump_a" "$dump_b" --diff)"
+diff_out="$("$analyze" "$dump_a" "$dump_b")"
 echo "$diff_out"
 grep -q '\[stable\]' <<<"$diff_out"
 
@@ -67,38 +68,11 @@ echo
 echo "== gpu timeline smoke: device interval dump -> --gpu / --timeline =="
 gpu_dump="$(mktemp /tmp/distme_gpu.XXXXXX.json)"
 gpu_trace="$(mktemp /tmp/distme_gpu_trace.XXXXXX.json)"
-gpu_out="$(mktemp /tmp/distme_gpu_out.XXXXXX.txt)"
-trap 'rm -f "$dump_a" "$dump_b" "$gpu_dump" "$gpu_trace" "$gpu_out"' EXIT
-./build/bench/bench_micro_engine --gpu-flight-dump="$gpu_dump" > "$gpu_out"
-python3 scripts/distme_analyze.py "$gpu_dump" --gpu --pcie-peak-gib 12
-# The Python mirror must reproduce the C++ analysis number for number: the
-# dump mode prints the AnalyzeGpuTimeline aggregate, compare field by field.
-python3 - "$gpu_out" "$gpu_dump" <<'PYEOF'
-import json, subprocess, sys
-cpp = json.loads([l for l in open(sys.argv[1])
-                  if l.startswith("gpu run aggregate: ")][0]
-                 .split(": ", 1)[1])
-py = json.loads(subprocess.check_output(
-    [sys.executable, "scripts/distme_analyze.py", sys.argv[2],
-     "--gpu", "--json", "--pcie-peak-gib", "12"]))
-def walk(a, b, path):
-    if isinstance(a, dict):
-        assert set(a) == set(b), f"{path}: keys differ"
-        for k in a:
-            walk(a[k], b[k], f"{path}.{k}")
-    elif isinstance(a, list):
-        assert len(a) == len(b), f"{path}: length differs"
-        for i, (x, y) in enumerate(zip(a, b)):
-            walk(x, y, f"{path}[{i}]")
-    elif isinstance(a, float) or isinstance(b, float):
-        assert abs(a - b) <= 1e-9 * max(1, abs(a)), f"{path}: {a} != {b}"
-    else:
-        assert a == b, f"{path}: {a} != {b}"
-walk(cpp, py, "$")
-print("gpu smoke: python --gpu matches the C++ analysis")
-PYEOF
-# Chrome-trace export must satisfy the viewer invariants.
-python3 scripts/distme_analyze.py "$gpu_dump" --timeline "$gpu_trace" >/dev/null
+trap 'rm -f "$dump_a" "$dump_b" "$gpu_dump" "$gpu_trace"' EXIT
+./build/bench/bench_micro_engine --gpu-flight-dump="$gpu_dump" >/dev/null
+"$analyze" "$gpu_dump" --gpu
+# The Chrome-trace export of the dump must satisfy the viewer invariants.
+"$analyze" "$gpu_dump" --timeline "$gpu_trace" >/dev/null
 python3 scripts/trace_lint.py "$gpu_trace"
 
 echo

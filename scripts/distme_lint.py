@@ -76,11 +76,11 @@ import sys
 # --- allowlists ------------------------------------------------------------
 
 # Files allowed to use raw concurrency primitives. Everything else must use
-# the engine/obs wrappers (task slots, registries, tracers) so that the TSan
-# stress suite exercises every lock in the system.
+# the engine/obs wrappers (task slots, registries, the flight ring) so that
+# the TSan stress suite exercises every lock in the system.
 CONCURRENCY_ALLOW = (
     "src/engine/",            # RealExecutor task slots, DistributedMatrix stores
-    "src/obs/",               # MetricsRegistry, Tracer (lock-free + registration lock)
+    "src/obs/",               # MetricsRegistry, FlightRecorder, Sampler, Watchdog
     "src/gpu/",               # software-GPU stream/event simulation
     "src/common/logging.cc",  # the per-line stderr write lock
     "tests/",                 # tests may spawn threads freely
@@ -667,10 +667,10 @@ FLIGHT_EDGE_NAMES = re.compile(
 
 
 def rule_flight_edge_sync(f, rel, report):
-    # Same invariant as flight-enum-sync, for the dependency-edge kinds: the
-    # analyzer (scripts/distme_analyze.py) and FlightEdgeKindFromName both
-    # decode edges by these strings, so a drifted entry silently reclassifies
-    # blocked time in every report.
+    # Same invariant as flight-enum-sync, for the dependency-edge kinds: dumps
+    # carry edges by these strings and FlightEdgeKindFromName decodes them
+    # (in a live session and in distme_analyze alike), so a drifted entry
+    # silently reclassifies blocked time in every report.
     if not rel.endswith("flight_recorder.cc"):
         return
     header_path = os.path.splitext(f.path)[0] + ".h"

@@ -6,6 +6,9 @@ Usage: trace_lint.py <trace.json> [<trace.json> ...]
 Checks the invariants a trace viewer (chrome://tracing, Perfetto) relies on:
 the document shape, the required keys per event phase, monotone-sane
 timestamps, and that every complete event lands on a named-or-numeric track.
+A trace exported from a flight ring carries the ring's top-level
+total_recorded and capacity; it fails if the ring overwrote events before
+the export (total_recorded > capacity).
 Exits non-zero on the first malformed file.
 """
 
@@ -36,6 +39,15 @@ def lint(path):
         fail(path, 'missing "traceEvents" array')
     if doc.get("displayTimeUnit") not in (None, "ms", "ns"):
         fail(path, f'bad displayTimeUnit {doc.get("displayTimeUnit")!r}')
+
+    if "total_recorded" in doc or "capacity" in doc:
+        total = doc.get("total_recorded")
+        capacity = doc.get("capacity")
+        if not isinstance(total, int) or not isinstance(capacity, int):
+            fail(path, "total_recorded and capacity must both be integers")
+        if total > capacity:
+            fail(path, f"the flight ring dropped {total - capacity} of "
+                       f"{total} events")
 
     n_complete = 0
     for i, event in enumerate(events):

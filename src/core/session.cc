@@ -140,7 +140,6 @@ Result<Matrix> Session::MultiplyWith(const Matrix& a, const Matrix& b,
   engine::RealOptions real = options_.real;
   real.mode = options_.mode;
   real.metrics = &metrics_;
-  real.tracer = &tracer_;
   real.comm = &comm_;
   real.flight = &flight_;
   real.watchdog = watchdog_.get();
@@ -212,8 +211,10 @@ Result<engine::ExplainReport> Session::ExplainLastRun() const {
   return *last_explain_;
 }
 
-Status Session::WriteTrace(const std::string& path) {
-  return obs::WriteChromeTrace(tracer_, path);
+Status Session::WriteTrace(const std::string& path) const {
+  return obs::WriteTextFile(
+      path, obs::ChromeTraceJson(flight_.Snapshot(), flight_.TotalRecorded(),
+                                 flight_.capacity()));
 }
 
 std::string Session::RunReportJson() const {

@@ -27,7 +27,6 @@
 #include "obs/http_endpoint.h"
 #include "obs/metrics.h"
 #include "obs/sampler.h"
-#include "obs/trace.h"
 #include "obs/watchdog.h"
 
 namespace distme::core {
@@ -73,7 +72,10 @@ class Session {
     bool collect_explain = true;
     /// Flight-recorder ring capacity (events). Always on — recording is a
     /// few relaxed atomics per event — and the ring doubles as the crash
-    /// post-mortem (it dumps to stderr on a fatal Result/Status abort).
+    /// post-mortem (it dumps to stderr on a fatal Result/Status abort) and
+    /// as the source of WriteTrace(). A small multiply records a few dozen
+    /// events; raise this for long sessions whose trace must not lose the
+    /// oldest runs.
     size_t flight_recorder_capacity = 4096;
     /// When non-empty, a failed multiplication dumps the flight-recorder
     /// ring (JSON) to this path before the error Status surfaces.
@@ -156,14 +158,14 @@ class Session {
   obs::MetricsRegistry& metrics() { return metrics_; }
   const obs::MetricsRegistry& metrics() const { return metrics_; }
 
-  /// \brief The session-owned tracer. Disabled by default (spans cost one
-  /// relaxed-atomic branch); call EnableTracing() to start recording.
-  obs::Tracer& tracer() { return tracer_; }
-  void EnableTracing() { tracer_.SetEnabled(true); }
-
-  /// \brief Drains the tracer and writes Chrome trace-event JSON to `path`
-  /// (load in chrome://tracing or https://ui.perfetto.dev).
-  [[nodiscard]] Status WriteTrace(const std::string& path);
+  /// \brief Writes the flight ring's retained window as Chrome trace-event
+  /// JSON to `path` (load in chrome://tracing or https://ui.perfetto.dev):
+  /// task attempts and their fetch/GPU waits per (node, slot), runs and
+  /// stages on a driver track, device engine intervals per device. The
+  /// oldest events are gone once the session has recorded more than
+  /// Options::flight_recorder_capacity; the trace's `total_recorded` and
+  /// `capacity` fields tell.
+  [[nodiscard]] Status WriteTrace(const std::string& path) const;
 
   /// \brief Structured JSON run report of the most recent multiplication,
   /// including the full metrics snapshot. "{}" if nothing has run.
@@ -209,8 +211,6 @@ class Session {
   std::vector<engine::MMReport> history_ DISTME_UNSHARED("driver-thread only");
   obs::MetricsRegistry metrics_
       DISTME_LOCKFREE("internally synchronized (registry mutex + atomics)");
-  obs::Tracer tracer_
-      DISTME_LOCKFREE("internally synchronized (per-thread buffers)");
   obs::CommMatrix comm_ DISTME_LOCKFREE("internally synchronized (atomics)");
   std::optional<engine::ExplainReport> last_explain_
       DISTME_UNSHARED("driver-thread only; endpoint reads the JSON atomics");
@@ -220,7 +220,7 @@ class Session {
   std::atomic<std::shared_ptr<const std::string>> last_explain_json_;
   // Last run's GPU timeline analysis JSON for GET /gpu — the same
   // obs::GpuTimelineAnalysis the explain report embeds, so the two routes
-  // (and distme_analyze.py --gpu on a dump) report identical numbers. Null
+  // (and distme_analyze --gpu on a dump) report identical numbers. Null
   // before the first run that recorded device interval events.
   std::atomic<std::shared_ptr<const std::string>> last_gpu_json_;
   // Telemetry subsystems, declared after the registries they observe so

@@ -1,10 +1,8 @@
 #include "engine/explain.h"
 
-#include <algorithm>
 #include <cstdio>
 
 #include "common/units.h"
-#include "obs/causal_graph.h"
 #include "obs/export.h"
 
 namespace distme::engine {
@@ -107,46 +105,16 @@ std::string ExplainReport::ToTable() const {
                   comm.ActiveLinks(), comm.SkewRatio());
     out += buf;
   }
-  if (has_critical_path && critical_path.path_us > 0) {
-    const double path_s = static_cast<double>(critical_path.path_us) * 1e-6;
+  if (has_critical_path) {
+    out += critical_path.ToText();
     // Consistency check: the causal path tiles the flight-recorded run, so
     // path length vs the executor's stopwatch flags clock or schema drift.
-    const double consistency =
-        elapsed_seconds > 0 ? path_s / elapsed_seconds : 0.0;
-    std::snprintf(buf, sizeof(buf),
-                  "  critical path: %s (%.1f%% of measured wall) — "
-                  "bottleneck %s (%.0f%%)\n",
-                  FormatSeconds(path_s).c_str(), consistency * 100.0,
-                  critical_path.bottleneck().c_str(),
-                  critical_path.bottleneck_fraction() * 100.0);
+    std::snprintf(buf, sizeof(buf), "  path vs measured wall: %.1f%%\n",
+                  elapsed_seconds > 0
+                      ? 100.0 * static_cast<double>(critical_path.path_us) *
+                            1e-6 / elapsed_seconds
+                      : 0.0);
     out += buf;
-    std::string attribution = "  path attribution:";
-    for (const auto& [resource, us] : critical_path.attribution_us) {
-      std::snprintf(buf, sizeof(buf), " %s %.0f%%", resource.c_str(),
-                    100.0 * static_cast<double>(us) /
-                        static_cast<double>(critical_path.path_us));
-      attribution += buf;
-    }
-    out += attribution + "\n";
-    // Top-k hops by duration (the named places the wall time went).
-    std::vector<const obs::CriticalHop*> top;
-    top.reserve(critical_path.hops.size());
-    for (const obs::CriticalHop& hop : critical_path.hops) {
-      top.push_back(&hop);
-    }
-    std::stable_sort(top.begin(), top.end(),
-                     [](const obs::CriticalHop* l, const obs::CriticalHop* r) {
-                       return l->duration_us() > r->duration_us();
-                     });
-    const size_t k = std::min<size_t>(5, top.size());
-    for (size_t i = 0; i < k; ++i) {
-      std::snprintf(buf, sizeof(buf), "    hop %zu: %-24s [%s] %s\n", i + 1,
-                    top[i]->label.c_str(), top[i]->resource.c_str(),
-                    FormatSeconds(static_cast<double>(top[i]->duration_us()) *
-                                  1e-6)
-                        .c_str());
-      out += buf;
-    }
   }
   if (has_pipeline) {
     const int64_t pops = pipeline.prefetch_hits + pipeline.prefetch_stalls;
@@ -164,37 +132,7 @@ std::string ExplainReport::ToTable() const {
                   static_cast<long long>(pipeline.queue_high_water));
     out += buf;
   }
-  if (has_gpu) {
-    const obs::OverlapReport& run = gpu.run;
-    std::snprintf(buf, sizeof(buf),
-                  "  gpu: %zu device%s | window %s | kernel busy %.0f%% | "
-                  "overlap %.0f%% of copies | %lld bubble%s (%s)\n",
-                  gpu.devices.size(), gpu.devices.size() == 1 ? "" : "s",
-                  FormatSeconds(static_cast<double>(run.window_us()) * 1e-6)
-                      .c_str(),
-                  run.kernel_utilization() * 100.0,
-                  run.overlap_ratio() * 100.0,
-                  static_cast<long long>(run.bubble_count),
-                  run.bubble_count == 1 ? "" : "s",
-                  FormatSeconds(static_cast<double>(run.bubble_us) * 1e-6)
-                      .c_str());
-    out += buf;
-    const obs::GpuWindowFractions f = run.WindowFractions();
-    std::snprintf(buf, sizeof(buf),
-                  "  gpu window: kernel-bound %.0f%% | h2d-bound %.0f%% | "
-                  "d2h-bound %.0f%% | bubble %.0f%%\n",
-                  f.kernel_bound * 100.0, f.h2d_bound * 100.0,
-                  f.d2h_bound * 100.0, f.bubble * 100.0);
-    out += buf;
-    std::snprintf(
-        buf, sizeof(buf),
-        "  gpu pcie: %s/s effective of %s/s peak | occupancy high-water %s\n",
-        FormatBytes(run.effective_pcie_bytes_per_sec()).c_str(),
-        FormatBytes(run.pcie_peak_bytes_per_sec).c_str(),
-        FormatBytes(static_cast<double>(gpu.occupancy_high_water_bytes))
-            .c_str());
-    out += buf;
-  }
+  if (has_gpu) out += gpu.ToText();
   return out;
 }
 
@@ -340,24 +278,14 @@ Result<ExplainReport> BuildExplainReport(const MMReport& report,
   if (obs.comm_delta != nullptr) explain.comm = *obs.comm_delta;
 
   if (obs.flight_events != nullptr) {
-    // GPU overlap analysis first: its window fractions split the critical
-    // path's opaque "gpu" attribution bucket. The PCI-E peak comes from the
-    // cluster's hardware model (the roofline the copies are measured
-    // against).
-    explain.gpu = obs::AnalyzeGpuTimeline(*obs.flight_events,
-                                          cluster.hw.pcie_bandwidth);
+    // The PCI-E peak comes from the cluster's hardware model (the roofline
+    // the copies are measured against).
+    obs::RunAnalysis run =
+        obs::AnalyzeRun(*obs.flight_events, cluster.hw.pcie_bandwidth);
+    explain.gpu = std::move(run.gpu);
     explain.has_gpu = !explain.gpu.empty();
-    const obs::CausalGraph graph = obs::BuildCausalGraph(*obs.flight_events);
-    if (graph.wall_us() > 0) {
-      obs::GpuWindowFractions fractions;
-      const obs::GpuWindowFractions* split = nullptr;
-      if (explain.has_gpu && explain.gpu.run.window_us() > 0) {
-        fractions = explain.gpu.run.WindowFractions();
-        split = &fractions;
-      }
-      explain.critical_path = obs::AnalyzeCriticalPath(graph, split);
-      explain.has_critical_path = explain.critical_path.path_us > 0;
-    }
+    explain.critical_path = std::move(run.critical_path);
+    explain.has_critical_path = explain.critical_path.path_us > 0;
   }
   return explain;
 }

@@ -76,15 +76,16 @@ struct ExplainReport {
   PipelineStats pipeline;
 
   /// GPU pipeline overlap analysis (only when flight events were supplied
-  /// and contained schema-3 device interval events). When present, the
-  /// critical path's "gpu" attribution is split by its window fractions.
-  /// This is the same object `GET /gpu` serves and distme_analyze.py --gpu
-  /// recomputes — all three report identical numbers for one run.
+  /// and contained device interval events). When present, the critical
+  /// path's "gpu" attribution is split by its window fractions. Both come
+  /// from obs::AnalyzeRun, as `GET /gpu` and `distme_analyze` do, so all
+  /// of them report identical numbers for one run.
   bool has_gpu = false;
   obs::GpuTimelineAnalysis gpu;
 
-  /// \brief Aligned text table: stage rows, task/straggler summary, and the
-  /// comm-matrix summary line.
+  /// \brief Aligned text table: stage rows, task/straggler summary, the
+  /// comm-matrix summary line, then the critical-path and GPU sections in
+  /// their obs ToText() renderings.
   std::string ToTable() const;
   std::string ToJson() const;
 };

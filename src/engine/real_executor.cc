@@ -22,7 +22,6 @@
 #include "matrix/serialize.h"
 #include "obs/gpu_timeline.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace distme::engine {
 
@@ -133,7 +132,6 @@ class RealExecutor::Impl {
     obs::MetricsRegistry run_metrics;
     obs::MetricsRegistry* metrics =
         options.metrics != nullptr ? options.metrics : &run_metrics;
-    obs::Tracer* tracer = options.tracer;
     obs::FlightRecorder* flight = options.flight;
 
     obs::Counter* repartition_bytes =
@@ -185,33 +183,18 @@ class RealExecutor::Impl {
     metrics->GetGauge("distme.pipeline.prefetch_depth")
         ->Set(options.prefetch_depth);
 
-    const int driver_pid = config_.num_nodes;  // trace track for the driver
-    if (tracer != nullptr && tracer->enabled()) {
-      for (int n = 0; n < config_.num_nodes; ++n) {
-        tracer->SetProcessName(n, "node" + std::to_string(n));
-      }
-      tracer->SetProcessName(driver_pid, "driver");
-    }
-
     // Materialize the plan (the scheduler decision: task order + placement).
     std::vector<mm::LocalTask> tasks;
-    {
-      obs::Tracer::ScopedTrack track(driver_pid, 0);
-      obs::TraceSpan plan_span(tracer, "sched.plan", "sched");
-      DISTME_RETURN_NOT_OK(method.ForEachTask(
-          problem, config_, [&tasks](const mm::LocalTask& t) {
-            tasks.push_back(t);
-            return Status::OK();
-          }));
-      if (options.lpt_scheduling) {
-        std::stable_sort(tasks.begin(), tasks.end(),
-                         [](const mm::LocalTask& l, const mm::LocalTask& r) {
-                           return l.voxels.size() > r.voxels.size();
-                         });
-      }
-      plan_span.AddArg("method", std::string(method.name()));
-      plan_span.AddArg("tasks", static_cast<int64_t>(tasks.size()));
-      plan_span.AddArg("lpt", static_cast<int64_t>(options.lpt_scheduling));
+    DISTME_RETURN_NOT_OK(method.ForEachTask(
+        problem, config_, [&tasks](const mm::LocalTask& t) {
+          tasks.push_back(t);
+          return Status::OK();
+        }));
+    if (options.lpt_scheduling) {
+      std::stable_sort(tasks.begin(), tasks.end(),
+                       [](const mm::LocalTask& l, const mm::LocalTask& r) {
+                         return l.voxels.size() > r.voxels.size();
+                       });
     }
     // Attach (or detach) the run's recorder to every device before any task
     // touches one: schema-3 interval events carry the device's (node,
@@ -267,7 +250,6 @@ class RealExecutor::Impl {
     auto fetch = [&](const DistributedMatrix& m, BlockIndex idx, int node,
                      MemoryTracker* tracker) -> Result<Block> {
       bool crossed = false;
-      obs::TraceSpan span(tracer, "shuffle.fetch", "shuffle");
       DISTME_ASSIGN_OR_RETURN(Block blk, m.Get(idx, node, &crossed));
       if (crossed) {
         const int64_t wire = SerializedBlockBytes(blk);
@@ -282,15 +264,11 @@ class RealExecutor::Impl {
           flight->Record(obs::FlightEventType::kBlockFetch, node,
                          m.NodeOf(idx), wire);
         }
-        span.AddArg("bytes", wire);
         if (options.serialize_transfers) {
           // Round-trip through the wire format, as a real shuffle would.
-          obs::TraceSpan ser_span(tracer, "shuffle.serialize", "shuffle");
           serialize_roundtrips->Add(1);
           DISTME_ASSIGN_OR_RETURN(blk, DeserializeBlock(SerializeBlock(blk)));
         }
-      } else {
-        span.Cancel();  // node-local read, not a shuffle transfer
       }
       if (tracker != nullptr) {
         DISTME_RETURN_NOT_OK(tracker->Allocate(blk.SizeBytes()));
@@ -317,7 +295,6 @@ class RealExecutor::Impl {
           options.enforce_task_memory ? staged.tracker.get() : nullptr;
       gpumm::StagedBlockSource& inputs = *staged.inputs;
       Stopwatch fetch_clock;
-      obs::TraceSpan fetch_span(tracer, "task.fetch", "task");
       auto need_a = [&](int64_t i, int64_t k) -> Status {
         if (task.inputs_shared && inputs.HasA(i, k)) return Status::OK();
         DISTME_ASSIGN_OR_RETURN(Block blk,
@@ -346,7 +323,6 @@ class RealExecutor::Impl {
         if (st.ok()) st = need_b(v.k, v.j);
         if (!st.ok()) staged.fetch_status = std::move(st);
       });
-      fetch_span.End();
       fetch_nanos->Add(
           static_cast<int64_t>(fetch_clock.ElapsedSeconds() * 1e9));
       if (!staged.fetch_status.ok()) {
@@ -378,9 +354,6 @@ class RealExecutor::Impl {
           flight->Record(obs::FlightEventType::kBlockEmit, producer_node,
                          reducer_node, wire);
         }
-        obs::TraceSpan span(tracer, "shuffle.aggregate", "shuffle");
-        span.AddArg("bytes", wire);
-        span.AddArg("reducer", static_cast<int64_t>(reducer_node));
         if (options.serialize_transfers) {
           serialize_roundtrips->Add(1);
           DISTME_ASSIGN_OR_RETURN(block,
@@ -412,15 +385,13 @@ class RealExecutor::Impl {
                             std::vector<PendingEmit>* outputs) -> Status {
       Stopwatch compute_clock;
       double gpu_seconds = 0;  // time this attempt spent bound on the GPU
-      obs::TraceSpan compute_span(tracer, "task.compute", "task");
       if (mode == ComputeMode::kGpuStreaming && task.voxels.is_box()) {
         gpu::Device* device = DeviceFor(node, task.id);
         Stopwatch gpu_clock;
         DISTME_ASSIGN_OR_RETURN(
             gpumm::GpuCuboidResult gpu_result,
             gpumm::RunCuboidOnGpu(task.voxels, a.shape(), b.shape(), &inputs,
-                                  device, config_.gpu_task_memory_bytes,
-                                  tracer, flight));
+                                  device, config_.gpu_task_memory_bytes));
         gpu_seconds += gpu_clock.ElapsedSeconds();
         for (auto& [key, dense] : gpu_result.c_blocks) {
           outputs->push_back(PendingEmit{BlockIndex{key.first, key.second},
@@ -481,7 +452,6 @@ class RealExecutor::Impl {
         });
         DISTME_RETURN_NOT_OK(voxel_status);
       }
-      compute_span.End();
       compute_nanos->Add(
           static_cast<int64_t>(compute_clock.ElapsedSeconds() * 1e9));
       if (flight != nullptr && gpu_seconds > 0) {
@@ -523,10 +493,6 @@ class RealExecutor::Impl {
                 ? options.watchdog->TaskStarted(task.id, node, slot)
                 : -1;
         Stopwatch attempt_clock;
-        obs::TraceSpan attempt_span(tracer, "task.attempt", "task");
-        attempt_span.AddArg("task", task.id);
-        attempt_span.AddArg("attempt", static_cast<int64_t>(attempt));
-        attempt_span.AddArg("voxels", task.voxels.size());
         Stopwatch fetch_clock;
         StagedTask staged =
             pipelined ? std::move(*prefetched) : stage(task, slot, crash);
@@ -572,8 +538,6 @@ class RealExecutor::Impl {
             (pipelined ? pop_stall_seconds : 0.0) +
             attempt_clock.ElapsedSeconds();
         task_seconds->Observe(attempt_seconds);
-        if (!st.ok()) attempt_span.AddArg("error", st.ToString());
-        attempt_span.End();
         if (options.watchdog != nullptr) {
           options.watchdog->TaskFinished(wd_token);
         }
@@ -610,18 +574,6 @@ class RealExecutor::Impl {
                           static_cast<int64_t>(tasks.size())));
     const int pool = std::max(num_workers, 1);
     const bool pipelined_run = options.prefetch_depth > 0;
-    if (tracer != nullptr && tracer->enabled()) {
-      // Workers pull tasks for any node, so each (node, slot) track can host
-      // spans from any worker; name them all up front.
-      for (int n = 0; n < config_.num_nodes; ++n) {
-        for (int w = 0; w < pool; ++w) {
-          tracer->SetThreadName(n, w, "slot" + std::to_string(w));
-          if (pipelined_run) {
-            tracer->SetThreadName(n, pool + w, "fetch" + std::to_string(w));
-          }
-        }
-      }
-    }
 
     const int64_t staging_budget = options.prefetch_staging_bytes > 0
                                        ? options.prefetch_staging_bytes
@@ -647,7 +599,6 @@ class RealExecutor::Impl {
           if (run_failed()) break;
           const mm::LocalTask& task = tasks[static_cast<size_t>(t)];
           const int node = static_cast<int>(task.id % config_.num_nodes);
-          obs::Tracer::ScopedTrack track(node, pool + w);
           PrefetchGate& gate = *gates[static_cast<size_t>(node)];
           if (gate.WaitForHeadroom()) backpressure_waits->Add(1);
           StagedTask staged = stage(
@@ -695,10 +646,6 @@ class RealExecutor::Impl {
           }
           if (run_failed()) break;  // `prefetched` dtor releases its state
           const mm::LocalTask& task = tasks[static_cast<size_t>(t)];
-          // All spans opened under this worker (task body, shuffle
-          // transfers, GPU chunks) land on the (node, slot) track.
-          obs::Tracer::ScopedTrack track(
-              static_cast<int>(task.id % config_.num_nodes), w);
           Status st = execute_task(task, w,
                                    pipelined_run ? &prefetched : nullptr,
                                    wait_begin_us, stall_seconds);
@@ -771,26 +718,17 @@ class RealExecutor::Impl {
       flight->Record(obs::FlightEventType::kStageBegin, /*node=*/-1,
                      /*slot=*/-1, 0, 0, "aggregation");
     }
-    {
-      obs::Tracer::ScopedTrack track(driver_pid, 0);
-      obs::TraceSpan agg_span(tracer, "aggregate.finalize", "shuffle");
-      if (needs_agg) {
-        for (size_t shard = 0; shard < kShards; ++shard) {
-          for (auto& [idx, by_k] : agg_partials[shard]) {
-            auto it = by_k.begin();
-            Block total = std::move(it->second);
-            for (++it; it != by_k.end(); ++it) {
-              DISTME_ASSIGN_OR_RETURN(total,
-                                      blas::AddBlocks(total, it->second));
-            }
-            if (total.nnz() == 0) continue;
-            DISTME_RETURN_NOT_OK(output->Put(idx, std::move(total)));
-          }
-          agg_partials[shard].clear();
+    for (size_t shard = 0; needs_agg && shard < kShards; ++shard) {
+      for (auto& [idx, by_k] : agg_partials[shard]) {
+        auto it = by_k.begin();
+        Block total = std::move(it->second);
+        for (++it; it != by_k.end(); ++it) {
+          DISTME_ASSIGN_OR_RETURN(total, blas::AddBlocks(total, it->second));
         }
-      } else {
-        agg_span.Cancel();
+        if (total.nnz() == 0) continue;
+        DISTME_RETURN_NOT_OK(output->Put(idx, std::move(total)));
       }
+      agg_partials[shard].clear();
     }
     if (flight != nullptr && needs_agg) {
       flight->Record(obs::FlightEventType::kStageEnd, /*node=*/-1,

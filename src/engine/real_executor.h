@@ -18,7 +18,6 @@
 #include "obs/comm_matrix.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "obs/watchdog.h"
 
 namespace distme::engine {
@@ -80,9 +79,6 @@ struct RealOptions {
   /// When null, the executor uses a private per-run registry; either way the
   /// MMReport counters are derived from registry instruments.
   obs::MetricsRegistry* metrics = nullptr;
-  /// Trace-span sink. Null (the default) or a disabled tracer costs one
-  /// branch per would-be span. Track mapping: pid = node, tid = task slot.
-  obs::Tracer* tracer = nullptr;
   /// Per-link shuffle accounting: every remote block fetch (repartition) and
   /// cross-node aggregation emit is recorded with its true (src, dst)
   /// endpoints. Null (the default) costs one branch per transfer.

@@ -403,17 +403,12 @@ Result<MMReport> SimExecutor::Run(const mm::MMProblem& problem,
 
   DISTME_RETURN_NOT_OK(method.ForEachTask(problem, config_, process_task));
 
-  obs::TraceSpan schedule_span(options.tracer, "sim.schedule", "sim");
   if (options.lpt_scheduling) {
     std::sort(task_durations.begin(), task_durations.end(),
               std::greater<double>());
   }
   sim::WaveScheduler waves(static_cast<int>(config_.total_slots()));
   for (double d : task_durations) waves.Add(d);
-  schedule_span.AddArg("tasks", num_tasks);
-  schedule_span.AddArg("lpt", static_cast<int64_t>(options.lpt_scheduling));
-  schedule_span.AddArg("makespan_seconds", waves.Makespan());
-  schedule_span.End();
 
   // ---- Assemble the three steps. ----
   report.steps.repartition_seconds =
@@ -515,31 +510,6 @@ Result<MMReport> SimExecutor::Run(const mm::MMProblem& problem,
           ->Set(static_cast<int64_t>(comm_delta.SkewRatio() * 1000.0));
       m->GetGauge("distme.comm.active_links")->Set(comm_delta.ActiveLinks());
     }
-  }
-  if (options.tracer != nullptr && options.tracer->enabled()) {
-    // The simulated three-step timeline as spans: simulated durations,
-    // anchored at the call instant on the caller's current track.
-    obs::Tracer* tr = options.tracer;
-    const int64_t t0 = tr->NowMicros();
-    double offset_s = 0;
-    auto emit = [&](const char* name, double dur_s) {
-      obs::TraceEvent ev;
-      ev.name = name;
-      ev.category = "sim";
-      ev.ts_us = t0 + static_cast<int64_t>(offset_s * 1e6);
-      ev.dur_us = std::max<int64_t>(1, static_cast<int64_t>(dur_s * 1e6));
-      ev.pid = obs::Tracer::CurrentPid();
-      ev.tid = obs::Tracer::CurrentTid();
-      ev.args.emplace_back(
-          "method", obs::TraceArgValue::Str(std::string(method.name())));
-      ev.args.emplace_back("simulated_seconds",
-                           obs::TraceArgValue::Double(dur_s));
-      tr->Record(std::move(ev));
-      offset_s += dur_s;
-    };
-    emit("sim.repartition", report.steps.repartition_seconds);
-    emit("sim.multiply", report.steps.multiply_seconds);
-    emit("sim.aggregation", report.steps.aggregation_seconds);
   }
   if (sim_timeline) {
     EmitSimFlightTimeline(options.flight, num_tasks, report, task_durations,

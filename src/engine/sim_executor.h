@@ -14,7 +14,6 @@
 #include "obs/comm_matrix.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace distme::engine {
 
@@ -54,10 +53,6 @@ struct SimOptions {
   bool lpt_scheduling = false;
   /// Optional metrics sink: per-run `distme.sim.*` counters/histograms.
   obs::MetricsRegistry* metrics = nullptr;
-  /// Optional trace sink: the simulated three-step timeline is emitted as
-  /// spans (in simulated time, anchored at the call instant) plus a
-  /// real-time `sim.schedule` span for the wave-scheduling decision.
-  obs::Tracer* tracer = nullptr;
   /// Optional per-link shuffle accounting. The simulator has no real
   /// endpoints, so each task's modelled transfer volume is spread over the
   /// uniform-hash block homes: inputs arrive at the task's node (id % N)

@@ -66,9 +66,7 @@ Result<GpuCuboidResult> RunCuboidOnGpu(const mm::VoxelSet& box,
                                        const BlockedShape& a_shape,
                                        const BlockedShape& b_shape,
                                        BlockSource* source,
-                                       gpu::Device* device, int64_t theta_g,
-                                       obs::Tracer* tracer,
-                                       obs::FlightRecorder* flight) {
+                                       gpu::Device* device, int64_t theta_g) {
   if (!box.is_box()) {
     return Status::Invalid(
         "cuboid-level GPU streaming requires a box voxel set "
@@ -76,9 +74,6 @@ Result<GpuCuboidResult> RunCuboidOnGpu(const mm::VoxelSet& box,
   }
   const gpu::DeviceStats before = device->stats();
   const double t_before = device->Synchronize();
-
-  obs::TraceSpan cuboid_span(tracer, "gpu.cuboid", "gpu");
-  cuboid_span.AddArg("voxels", box.size());
 
   // ---- Lines 1-5 of Algorithm 1: optimize and partition. --------------
   SubcuboidProblem sp;
@@ -148,36 +143,22 @@ Result<GpuCuboidResult> RunCuboidOnGpu(const mm::VoxelSet& box,
       for (int64_t ri = 0; ri < r2; ++ri) {
         const mm::SplitRange kr = mm::Split(sp.k_blocks, r2, ri);
 
-        obs::TraceSpan sub_span(tracer, "gpu.subcuboid", "gpu");
-        sub_span.AddArg("p", pi);
-        sub_span.AddArg("q", qi);
-        sub_span.AddArg("r", ri);
-
-        // Linear subcuboid index for the flight recorder (r2 fastest, the
-        // same order this loop nest visits them).
+        // Linear subcuboid index for the device's interval tags (r2
+        // fastest, the same order this loop nest visits them).
         const int64_t sub_index = (pi * q2 + qi) * r2 + ri;
-        if (flight != nullptr) {
-          flight->Record(obs::FlightEventType::kGpuSubmit,
-                         obs::Tracer::CurrentPid(), obs::Tracer::CurrentTid(),
-                         sub_index, p2 * q2 * r2);
-        }
 
         // Line 12: copy A' of this subcuboid to BufA as one chunk.
         int64_t a_chunk_bytes = 0;
         std::vector<std::vector<Block>> a_blocks(
             static_cast<size_t>(ir.end - ir.start));
-        {
-          obs::TraceSpan chunk_span(tracer, "gpu.h2d_chunk", "gpu");
-          for (int64_t i = ir.start; i < ir.end; ++i) {
-            for (int64_t k = kr.start; k < kr.end; ++k) {
-              DISTME_ASSIGN_OR_RETURN(
-                  Block blk, source->GetA(box.i0() + i, box.k0() + k));
-              a_chunk_bytes += blk.SizeBytes();
-              a_blocks[static_cast<size_t>(i - ir.start)].push_back(
-                  std::move(blk));
-            }
+        for (int64_t i = ir.start; i < ir.end; ++i) {
+          for (int64_t k = kr.start; k < kr.end; ++k) {
+            DISTME_ASSIGN_OR_RETURN(
+                Block blk, source->GetA(box.i0() + i, box.k0() + k));
+            a_chunk_bytes += blk.SizeBytes();
+            a_blocks[static_cast<size_t>(i - ir.start)].push_back(
+                std::move(blk));
           }
-          chunk_span.AddArg("bytes", a_chunk_bytes);
         }
         const int64_t sub_tag =
             obs::PackGpuTag(0, cuboid_id, sub_index);
@@ -232,12 +213,6 @@ Result<GpuCuboidResult> RunCuboidOnGpu(const mm::VoxelSet& box,
             DISTME_RETURN_NOT_OK(device->EnqueueD2H(
                 streams[static_cast<size_t>(j)], c_col_bytes, sub_tag));
           }
-        }
-
-        if (flight != nullptr) {
-          flight->Record(obs::FlightEventType::kGpuComplete,
-                         obs::Tracer::CurrentPid(), obs::Tracer::CurrentTid(),
-                         sub_index, a_chunk_bytes);
         }
       }
     }

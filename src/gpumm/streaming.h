@@ -14,8 +14,6 @@
 #include "matrix/block.h"
 #include "matrix/block_grid.h"
 #include "mm/plan.h"
-#include "obs/flight_recorder.h"
-#include "obs/trace.h"
 
 namespace distme::gpumm {
 
@@ -112,17 +110,12 @@ struct GpuCuboidResult {
 /// `theta_g` is the per-task GPU memory budget θg used by the subcuboid
 /// optimizer and enforced when allocating the A/B/C buffers.
 ///
-/// When `tracer` is non-null and enabled, a span is recorded per subcuboid
-/// and per streamed A chunk on the calling thread's current trace track.
-///
-/// When `flight` is non-null, a gpu_submit/gpu_complete flight-recorder
-/// event pair brackets each subcuboid's device work (node/slot taken from
-/// the calling thread's current trace track). Independently, when the
-/// device itself has a recorder attached (gpu::Device::AttachFlight), every
-/// H2D chunk copy, B-block copy, kernel launch, and D2H writeback this
-/// function enqueues becomes a schema-3 interval event pair tagged with a
-/// process-wide cuboid id and the subcuboid index, which
-/// obs::AnalyzeGpuTimeline folds into per-cuboid overlap reports.
+/// When the device has a flight recorder attached
+/// (gpu::Device::AttachFlight), every H2D chunk copy, B-block copy, kernel
+/// launch, and D2H writeback this function enqueues becomes a device
+/// interval event pair tagged with a process-wide cuboid id and the
+/// subcuboid index, which obs::AnalyzeGpuTimeline folds into per-cuboid
+/// overlap reports.
 ///
 /// Device buffers are released on every exit path — a failing BlockSource
 /// or enqueue mid-stream returns a clean Status without leaking device
@@ -131,8 +124,6 @@ struct GpuCuboidResult {
                                        const BlockedShape& a_shape,
                                        const BlockedShape& b_shape,
                                        BlockSource* source,
-                                       gpu::Device* device, int64_t theta_g,
-                                       obs::Tracer* tracer = nullptr,
-                                       obs::FlightRecorder* flight = nullptr);
+                                       gpu::Device* device, int64_t theta_g);
 
 }  // namespace distme::gpumm

@@ -72,10 +72,10 @@ CausalGraph BuildCausalGraph(const std::vector<FlightEvent>& events) {
         t.task_id = e.a;
         switch (FlightEdgeKindFromName(e.detail)) {
           case FlightEdgeKind::kFetchWait:
-            t.fetch_wait_us += e.b;
+            t.fetch_wait_us = FlightSum(t.fetch_wait_us, e.b);
             break;
           case FlightEdgeKind::kGpuWait:
-            t.gpu_wait_us += e.b;
+            t.gpu_wait_us = FlightSum(t.gpu_wait_us, e.b);
             break;
           default:
             // kSlotWait and kExec are derived (slot chains / remainder),

@@ -3,8 +3,8 @@
 // finish, stage begin / end) plus `kDepEdge` blocked-time edges; this
 // module folds the event stream back into per-task nodes with a
 // blocked-time decomposition and per-stage barrier intervals. It is the
-// input to the critical-path analysis (obs/critical_path.h) and the C++
-// twin of the parser in scripts/distme_analyze.py.
+// input to the critical-path analysis (obs/critical_path.h), live and in
+// the distme_analyze tool alike.
 
 #pragma once
 

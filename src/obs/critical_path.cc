@@ -1,8 +1,12 @@
 #include "obs/critical_path.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <map>
 #include <utility>
+
+#include "common/units.h"
 
 namespace distme::obs {
 
@@ -24,11 +28,13 @@ int64_t Clamp(int64_t v, int64_t lo, int64_t hi) {
   return std::max(lo, std::min(v, hi));
 }
 
+// *sum += us, saturating: the sums run over a dump's events (FlightSum).
+void Add(int64_t* sum, int64_t us) { *sum = FlightSum(*sum, us); }
+
 // Splits the opaque "gpu" attribution bucket into {gpu-kernel, gpu-h2d,
 // gpu-d2h, gpu-bubble} by the device-window fractions. Largest-remainder
 // rounding keeps the split exact: the pieces sum to the original "gpu" µs,
-// so path_us and the tiling invariant are untouched. Mirrored by
-// scripts/distme_analyze.py — keep the arithmetic identical.
+// so path_us and the tiling invariant are untouched.
 void SplitGpuAttribution(const GpuWindowFractions& f,
                          std::map<std::string, int64_t>* attribution) {
   const auto it = attribution->find("gpu");
@@ -67,6 +73,10 @@ void SplitGpuAttribution(const GpuWindowFractions& f,
   for (const Part& p : parts) {
     if (p.whole > 0) (*attribution)[p.name] += p.whole;
   }
+}
+
+std::string Us(int64_t us) {
+  return FormatSeconds(static_cast<double>(us) * 1e-6);
 }
 
 }  // namespace
@@ -128,13 +138,13 @@ CriticalPathAnalysis AnalyzeCriticalPath(const CausalGraph& graph,
     b.exec_us = dur - b.fetch_wait_us - b.gpu_wait_us;
     b.slot_wait_us = t.start_us - b.ready_us;
     out.tasks.push_back(b);
-    out.aggregate_us["slot_wait"] += b.slot_wait_us;
-    out.aggregate_us["fetch_wait"] += b.fetch_wait_us;
-    out.aggregate_us["gpu_wait"] += b.gpu_wait_us;
-    out.aggregate_us["exec"] += b.exec_us;
+    Add(&out.aggregate_us["slot_wait"], b.slot_wait_us);
+    Add(&out.aggregate_us["fetch_wait"], b.fetch_wait_us);
+    Add(&out.aggregate_us["gpu_wait"], b.gpu_wait_us);
+    Add(&out.aggregate_us["exec"], b.exec_us);
   }
   for (const CausalStage& s : graph.stages) {
-    out.stage_us[s.name] += s.span_us();
+    Add(&out.stage_us[s.name], s.span_us());
   }
 
   // Per-slot task chains: tasks on one (node, slot) are serialized, so a
@@ -189,7 +199,8 @@ CriticalPathAnalysis AnalyzeCriticalPath(const CausalGraph& graph,
 
   int64_t cursor = graph.run_finish_us;
   while (cursor > graph.run_start_us) {
-    const int ti = latest_finished_before(cursor);
+    const int64_t end = cursor;
+    int ti = latest_finished_before(cursor);
     if (ti >= 0 && out.tasks[static_cast<size_t>(ti)].finish_us == cursor) {
       // Chain backwards through tasks: decompose this one, then jump to
       // its binding predecessor (same-slot chain or ready barrier).
@@ -217,7 +228,11 @@ CriticalPathAnalysis AnalyzeCriticalPath(const CausalGraph& graph,
           i = -1;
         }
       }
-      continue;
+      if (cursor < end) continue;
+      // Only tasks of no length (or negative, in a corrupt dump) end here
+      // and bind at or after it: explain the time before them instead.
+      cursor = end;
+      ti = latest_finished_before(end - 1);
     }
     // Stage barrier covering the cursor (latest-beginning one wins).
     const CausalStage* stage = nullptr;
@@ -253,8 +268,8 @@ CriticalPathAnalysis AnalyzeCriticalPath(const CausalGraph& graph,
   std::reverse(rev.begin(), rev.end());
   out.hops = std::move(rev);
   for (const CriticalHop& hop : out.hops) {
-    out.attribution_us[hop.resource] += hop.duration_us();
-    out.path_us += hop.duration_us();
+    Add(&out.attribution_us[hop.resource], hop.duration_us());
+    Add(&out.path_us, hop.duration_us());
   }
   if (gpu_split != nullptr) {
     SplitGpuAttribution(*gpu_split, &out.attribution_us);
@@ -348,6 +363,134 @@ std::string CriticalPathAnalysis::ToJson() const {
   JsonWriter w;
   AppendJson(&w);
   return w.str();
+}
+
+std::vector<const CriticalHop*> CriticalPathAnalysis::TopHops() const {
+  std::vector<const CriticalHop*> top;
+  top.reserve(hops.size());
+  for (const CriticalHop& hop : hops) top.push_back(&hop);
+  std::stable_sort(top.begin(), top.end(),
+                   [](const CriticalHop* l, const CriticalHop* r) {
+                     return l->duration_us() > r->duration_us();
+                   });
+  if (top.size() > kTopHops) top.resize(kTopHops);
+  return top;
+}
+
+std::string CriticalPathAnalysis::ToText() const {
+  std::string out;
+  char buf[256];
+  std::snprintf(buf, sizeof(buf),
+                "  critical path: %s, run %s, %zu task%s — bottleneck %s "
+                "(%.0f%%)\n",
+                Us(path_us).c_str(), run_ok ? "ok" : "FAILED", tasks.size(),
+                tasks.size() == 1 ? "" : "s", bottleneck().c_str(),
+                bottleneck_fraction() * 100.0);
+  out += buf;
+  std::string attribution = "  path attribution:";
+  for (const auto& [resource, us] : attribution_us) {
+    std::snprintf(buf, sizeof(buf), " %s %.0f%%", resource.c_str(),
+                  100.0 * static_cast<double>(us) /
+                      static_cast<double>(path_us));
+    attribution += buf;
+  }
+  out += attribution + "\n";
+  if (!stage_us.empty()) {
+    std::string stages = "  stages:";
+    for (const auto& [name, us] : stage_us) stages += " " + name + " " + Us(us);
+    out += stages + "\n";
+  }
+  const std::vector<const CriticalHop*> top = TopHops();
+  for (size_t i = 0; i < top.size(); ++i) {
+    std::snprintf(buf, sizeof(buf), "    hop %zu: %-24s [%s] %s\n", i + 1,
+                  top[i]->label.c_str(), top[i]->resource.c_str(),
+                  Us(top[i]->duration_us()).c_str());
+    out += buf;
+  }
+  return out;
+}
+
+RunAnalysis AnalyzeRun(const std::vector<FlightEvent>& events,
+                       double pcie_peak_bytes_per_sec) {
+  RunAnalysis run;
+  run.gpu = AnalyzeGpuTimeline(events, pcie_peak_bytes_per_sec);
+  const GpuWindowFractions fractions = run.gpu.run.WindowFractions();
+  run.critical_path =
+      AnalyzeCriticalPath(BuildCausalGraph(events),
+                          run.gpu.run.window_us() > 0 ? &fractions : nullptr);
+  return run;
+}
+
+CriticalPathDiff DiffCriticalPaths(const CriticalPathAnalysis& before,
+                                   const CriticalPathAnalysis& after) {
+  CriticalPathDiff d;
+  d.wall_before_us = before.wall_us;
+  d.wall_after_us = after.wall_us;
+  d.bottleneck_before = before.bottleneck();
+  d.bottleneck_after = after.bottleneck();
+  d.fraction_before = before.bottleneck_fraction();
+  d.fraction_after = after.bottleneck_fraction();
+  auto deltas = [](const std::map<std::string, int64_t>& b,
+                   const std::map<std::string, int64_t>& a,
+                   std::map<std::string, int64_t>* out) {
+    for (const auto& [name, us] : b) Add(&(*out)[name], -us);
+    for (const auto& [name, us] : a) Add(&(*out)[name], us);
+  };
+  deltas(before.attribution_us, after.attribution_us,
+         &d.attribution_delta_us);
+  deltas(before.stage_us, after.stage_us, &d.stage_delta_us);
+  std::vector<std::string> top_before;
+  std::vector<std::string> top_after;
+  for (const CriticalHop* hop : before.TopHops()) {
+    top_before.push_back(hop->label);
+  }
+  for (const CriticalHop* hop : after.TopHops()) {
+    top_after.push_back(hop->label);
+  }
+  auto absent = [](const std::vector<std::string>& labels,
+                   const std::string& label) {
+    return std::find(labels.begin(), labels.end(), label) == labels.end();
+  };
+  for (const std::string& label : top_after) {
+    if (absent(top_before, label)) d.hops_entered.push_back(label);
+  }
+  for (const std::string& label : top_before) {
+    if (absent(top_after, label)) d.hops_left.push_back(label);
+  }
+  return d;
+}
+
+std::string CriticalPathDiff::ToText() const {
+  char buf[256];
+  std::snprintf(buf, sizeof(buf),
+                "  wall: %s -> %s (%+.1f%%)\n"
+                "  bottleneck: %s (%.0f%%) -> %s (%.0f%%) [%s]\n",
+                Us(wall_before_us).c_str(), Us(wall_after_us).c_str(),
+                wall_before_us > 0
+                    ? 100.0 * static_cast<double>(wall_after_us) /
+                              static_cast<double>(wall_before_us) -
+                          100.0
+                    : 0.0,
+                bottleneck_before.c_str(), fraction_before * 100.0,
+                bottleneck_after.c_str(), fraction_after * 100.0,
+                stable() ? "stable" : "CHANGED");
+  std::string out = buf;
+  // One line per delta map: the non-zero entries, or "none".
+  for (const auto& [title, deltas] :
+       {std::pair{"attribution deltas", &attribution_delta_us},
+        std::pair{"stage deltas", &stage_delta_us}}) {
+    std::string moved;
+    for (const auto& [name, us] : *deltas) {
+      if (us != 0) moved += (moved.empty() ? " " : " | ") + name + " " +
+                            (us < 0 ? "-" : "+") + Us(std::llabs(us));
+    }
+    out += std::string("  ") + title + ":" + (moved.empty() ? " none" : moved) +
+           "\n";
+  }
+  std::string churn;
+  for (const std::string& label : hops_entered) churn += " +[" + label + "]";
+  for (const std::string& label : hops_left) churn += " -[" + label + "]";
+  return out + "  top-hop churn:" + (churn.empty() ? " none" : churn) + "\n";
 }
 
 }  // namespace distme::obs

@@ -11,6 +11,10 @@
 // input blocks) + gpu_wait (GPU transfer/kernel) + exec (the remainder,
 // actual compute). The components sum to the span identically — asserted
 // in tests, relied on by the attribution rollup.
+//
+// AnalyzeRun is the one events → analysis pipeline and ToText the one text
+// rendering: explain, GET /explain, GET /gpu and the distme_analyze tool all
+// go through them, so they report the same numbers for one run.
 
 #pragma once
 
@@ -24,6 +28,9 @@
 #include "obs/gpu_timeline.h"
 
 namespace distme::obs {
+
+/// \brief Hops listed by the text report, and compared by the run diff.
+inline constexpr size_t kTopHops = 5;
 
 /// \brief One task's span decomposed into blocked-time components.
 /// Invariant: slot_wait + fetch_wait + gpu_wait + exec == finish − ready.
@@ -80,8 +87,14 @@ struct CriticalPathAnalysis {
   /// \brief bottleneck()'s share of the path (0 if empty).
   double bottleneck_fraction() const;
 
+  /// \brief The kTopHops longest hops, longest first (ties in path order).
+  std::vector<const CriticalHop*> TopHops() const;
+
   void AppendJson(JsonWriter* writer) const;
   std::string ToJson() const;
+  /// \brief Indented text report: path and bottleneck, path attribution,
+  /// stage spans, and the top hops.
+  std::string ToText() const;
 };
 
 /// \brief Runs the analysis. An empty graph yields an empty analysis
@@ -95,5 +108,43 @@ struct CriticalPathAnalysis {
 /// Individual hops keep the "gpu" resource label; only the rollup splits.
 CriticalPathAnalysis AnalyzeCriticalPath(
     const CausalGraph& graph, const GpuWindowFractions* gpu_split = nullptr);
+
+/// \brief A run's analyses from its flight events: the GPU overlap analysis
+/// of its device intervals, and the critical path of its last complete run
+/// with the "gpu" bucket split by that analysis' window fractions.
+struct RunAnalysis {
+  GpuTimelineAnalysis gpu;
+  CriticalPathAnalysis critical_path;
+};
+
+/// \brief Runs events → GPU timeline → window split → critical path.
+/// `pcie_peak_bytes_per_sec` is the roofline the GPU copies are held to.
+RunAnalysis AnalyzeRun(const std::vector<FlightEvent>& events,
+                       double pcie_peak_bytes_per_sec);
+
+/// \brief What changed between two runs of one workload.
+struct CriticalPathDiff {
+  int64_t wall_before_us = 0;
+  int64_t wall_after_us = 0;
+  std::string bottleneck_before;
+  std::string bottleneck_after;
+  double fraction_before = 0.0;  ///< bottleneck share of the path
+  double fraction_after = 0.0;
+  /// after − before, for every resource / stage present in either run.
+  std::map<std::string, int64_t> attribution_delta_us;
+  std::map<std::string, int64_t> stage_delta_us;
+  /// Top-hop churn: labels among `after`'s top hops but not `before`'s,
+  /// and the reverse.
+  std::vector<std::string> hops_entered;
+  std::vector<std::string> hops_left;
+
+  bool stable() const { return bottleneck_before == bottleneck_after; }
+  /// \brief Indented text: wall, bottleneck [stable]/[CHANGED], attribution
+  /// and stage deltas, top-hop churn.
+  std::string ToText() const;
+};
+
+CriticalPathDiff DiffCriticalPaths(const CriticalPathAnalysis& before,
+                                   const CriticalPathAnalysis& after);
 
 }  // namespace distme::obs

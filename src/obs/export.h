@@ -1,15 +1,18 @@
-// Exporters for the observability layer: Chrome trace-event JSON (loadable
-// in chrome://tracing or https://ui.perfetto.dev) and a structured JSON
-// rendering of a metrics snapshot, embedded by the engine's run report.
+// Exporters for the observability layer: Chrome trace-event JSON of the
+// flight-event stream (loadable in chrome://tracing or
+// https://ui.perfetto.dev) and a structured JSON rendering of a metrics
+// snapshot, embedded by the engine's run report.
 
 #pragma once
 
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace distme::obs {
 
@@ -52,14 +55,20 @@ class JsonWriter {
   bool pending_value_ = false;
 };
 
-/// \brief Renders `events` (plus the tracer's track names) as a Chrome
-/// trace-event JSON document: {"traceEvents": [...], "displayTimeUnit":"ms"}.
-/// Every event carries the required keys `name`, `ph`, `ts`, `pid`, `tid`.
-std::string ChromeTraceJson(const Tracer& tracer,
-                            const std::vector<TraceEvent>& events);
-
-/// \brief Drains `tracer` and writes the Chrome trace JSON to `path`.
-[[nodiscard]] Status WriteChromeTrace(Tracer& tracer, const std::string& path);
+/// \brief Renders flight events (a ring snapshot or a parsed dump, oldest
+/// first) as a Chrome trace-event JSON document:
+///   - one "task.attempt" span per attempt, task_start to task_finish, on
+///     its (node, slot) track: pid = node, tid = slot;
+///   - a span per non-zero fetch_wait / gpu_wait edge, on the same track;
+///   - "run" and stage spans on the driver track, pid = highest node + 1;
+///   - every device's engine intervals as paired by AnalyzeGpuTimeline, in
+///     a process of its own per device: they sit on the device's virtual
+///     clock, not on the ring's.
+/// The top level carries `total_recorded` and `capacity`: the trace lost
+/// events exactly when total_recorded > capacity. Every span carries the
+/// keys `name`, `cat`, `ph`, `ts`, `dur`, `pid`, `tid`.
+std::string ChromeTraceJson(const std::vector<FlightEvent>& events,
+                            uint64_t total_recorded, uint64_t capacity);
 
 /// \brief Writes `content` to `path`, failing on short writes. Shared by the
 /// trace / metrics / bench-result exporters.

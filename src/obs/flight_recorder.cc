@@ -3,9 +3,11 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <iterator>
+#include <utility>
 
 #include "obs/export.h"
 
@@ -24,11 +26,8 @@ constexpr const char* kFlightEventTypeNames[] = {
     "task_retry",          // kTaskRetry
     "block_fetch",         // kBlockFetch
     "block_emit",          // kBlockEmit
-    "gpu_submit",          // kGpuSubmit
-    "gpu_complete",        // kGpuComplete
     "mem_high_water",      // kMemHighWater
     "watchdog_straggler",  // kWatchdogStraggler
-    "fatal",               // kFatal
     "dep_edge",            // kDepEdge
     "stage_begin",         // kStageBegin
     "stage_end",           // kStageEnd
@@ -191,9 +190,10 @@ std::string FlightRecorder::ToJson() const {
   // system clock (and `steady_epoch_us` on the process steady clock).
   // Schema 3 adds the per-engine GPU interval events (gpu_h2d/gpu_d2h/
   // gpu_kernel begin/end pairs + gpu_alloc), whose ts_us values sit on the
-  // emitting device's virtual clock instead.
+  // emitting device's virtual clock instead. Schema 4 drops the never-read
+  // gpu_submit/gpu_complete and the never-recorded fatal kinds.
   w.Key("schema");
-  w.Value(static_cast<int64_t>(3));
+  w.Value(kFlightDumpSchema);
   w.Key("wall_epoch_us");
   w.Value(wall_epoch_us_);
   w.Key("steady_epoch_us");
@@ -233,6 +233,215 @@ std::string FlightRecorder::ToJson() const {
 
 Status FlightRecorder::DumpToFile(const std::string& path) const {
   return WriteTextFile(path, ToJson());
+}
+
+namespace {
+
+// Cursor over a dump's JSON text. It reads exactly the JSON subset ToJson()
+// writes — objects of known keys, arrays, strings, integers — so nothing
+// recurses, and every read is bounds-checked: hostile input yields a
+// Status, never an overrun.
+class DumpReader {
+ public:
+  explicit DumpReader(std::string_view text) : s_(text) {}
+
+  Status Fail(const std::string& what) const {
+    return Status::Invalid("flight dump: " + what + " at byte " +
+                           std::to_string(pos_));
+  }
+
+  bool AtEnd() const { return pos_ == s_.size(); }
+
+  void SkipSpace() {
+    while (pos_ < s_.size() && In(" \t\r\n", s_[pos_])) ++pos_;
+  }
+
+  bool Consume(char c) {
+    SkipSpace();
+    if (pos_ >= s_.size() || s_[pos_] != c) return false;
+    ++pos_;
+    return true;
+  }
+
+  Status Expect(char c) {
+    return Consume(c) ? Status::OK()
+                      : Fail(std::string("expected '") + c + "'");
+  }
+
+  // Calls on_member(key) per member of the object at the cursor; the
+  // callback consumes the member's value.
+  template <typename F>
+  Status ForEachMember(F&& on_member) {
+    DISTME_RETURN_NOT_OK(Expect('{'));
+    if (Consume('}')) return Status::OK();
+    std::string key;
+    do {
+      DISTME_RETURN_NOT_OK(ReadString(&key));
+      DISTME_RETURN_NOT_OK(Expect(':'));
+      DISTME_RETURN_NOT_OK(on_member(key));
+    } while (Consume(','));
+    return Expect('}');
+  }
+
+  // The writer escapes quote, backslash, \n, \r, \t, and other control
+  // characters as \u00XX; a \u escape past ASCII, or of NUL (details are C
+  // strings), is refused.
+  Status ReadString(std::string* out) {
+    DISTME_RETURN_NOT_OK(Expect('"'));
+    out->clear();
+    while (pos_ < s_.size()) {
+      const char c = s_[pos_++];
+      if (c == '"') return Status::OK();
+      if (static_cast<unsigned char>(c) < 0x20) return Fail("raw control byte");
+      if (c != '\\') {
+        out->push_back(c);
+        continue;
+      }
+      if (pos_ >= s_.size()) break;
+      constexpr std::string_view kEscaped = "\"\\/bfnrt";
+      constexpr std::string_view kMeaning = "\"\\/\b\f\n\r\t";
+      if (const size_t e = kEscaped.find(s_[pos_]); e != kEscaped.npos) {
+        out->push_back(kMeaning[e]);
+        ++pos_;
+        continue;
+      }
+      unsigned code = 0;
+      const char* hex = s_.data() + pos_ + 1;
+      if (s_.size() - pos_ < 5 || s_[pos_] != 'u' ||
+          std::from_chars(hex, hex + 4, code, 16).ptr != hex + 4 ||
+          code == 0 || code >= 0x80) {
+        return Fail("bad escape");
+      }
+      out->push_back(static_cast<char>(code));
+      pos_ += 5;
+    }
+    return Fail("unterminated string");
+  }
+
+  Status ReadInt(int64_t* out) {
+    SkipSpace();
+    const bool negative = pos_ < s_.size() && s_[pos_] == '-';
+    if (negative) ++pos_;
+    const size_t first_digit = pos_;
+    constexpr uint64_t kLimit = uint64_t{1} << 63;  // |INT64_MIN|
+    uint64_t magnitude = 0;
+    for (; pos_ < s_.size() && s_[pos_] >= '0' && s_[pos_] <= '9'; ++pos_) {
+      const auto digit = static_cast<uint64_t>(s_[pos_] - '0');
+      if (magnitude > (kLimit - digit) / 10) return Fail("integer overflow");
+      magnitude = magnitude * 10 + digit;
+    }
+    if (pos_ == first_digit ||
+        (pos_ < s_.size() && In(".eE", s_[pos_]))) {
+      return Fail("expected an integer");
+    }
+    if (!negative && magnitude == kLimit) return Fail("integer overflow");
+    *out = negative ? static_cast<int64_t>(0 - magnitude)
+                    : static_cast<int64_t>(magnitude);
+    return Status::OK();
+  }
+
+ private:
+  static bool In(std::string_view set, char c) {
+    return set.find(c) != set.npos;
+  }
+
+  std::string_view s_;
+  size_t pos_ = 0;
+};
+
+// One element of the "events" array. Every field ToJson() writes is
+// required; `detail` is optional and interned into dump->details.
+Status ReadEvent(DumpReader* r, FlightDump* dump) {
+  FlightEvent e;
+  int64_t seq = 0;
+  int64_t node = 0;
+  int64_t slot = 0;
+  const std::pair<const char*, int64_t*> ints[] = {
+      {"seq", &seq},   {"ts_us", &e.ts_us}, {"node", &node},
+      {"slot", &slot}, {"a", &e.a},         {"b", &e.b}};
+  unsigned seen = 0;  // bit i: ints[i]; bit 6: type
+  DISTME_RETURN_NOT_OK(r->ForEachMember([&](const std::string& key) -> Status {
+    for (unsigned i = 0; i < std::size(ints); ++i) {
+      if (key != ints[i].first) continue;
+      seen |= 1u << i;
+      return r->ReadInt(ints[i].second);
+    }
+    std::string text;
+    if (key == "type") {
+      DISTME_RETURN_NOT_OK(r->ReadString(&text));
+      const auto* name = std::find(std::begin(kFlightEventTypeNames),
+                                   std::end(kFlightEventTypeNames), text);
+      if (name == std::end(kFlightEventTypeNames)) {
+        return r->Fail("unknown event type");
+      }
+      e.type = static_cast<FlightEventType>(
+          name - std::begin(kFlightEventTypeNames));
+      seen |= 1u << 6;
+      return Status::OK();
+    }
+    if (key == "detail") {
+      DISTME_RETURN_NOT_OK(r->ReadString(&text));
+      e.detail = dump->details.insert(std::move(text)).first->c_str();
+      return Status::OK();
+    }
+    return r->Fail("unknown key");
+  }));
+  if (seen != 0x7F) return r->Fail("event misses a field");
+  if (seq < 1 || node != static_cast<int32_t>(node) ||
+      slot != static_cast<int32_t>(slot)) {
+    return r->Fail("event field out of range");
+  }
+  for (const int64_t v : {e.ts_us, e.a, e.b}) {
+    if (v < 0 || v >= kFlightValueLimit) {
+      return r->Fail("event value out of range");
+    }
+  }
+  e.seq = static_cast<uint64_t>(seq);
+  e.node = static_cast<int32_t>(node);
+  e.slot = static_cast<int32_t>(slot);
+  dump->events.push_back(e);
+  return Status::OK();
+}
+
+}  // namespace
+
+Result<FlightDump> ParseFlightDump(std::string_view json) {
+  DumpReader r(json);
+  FlightDump dump;
+  bool has_events = false;
+  int64_t total_recorded = 0;
+  int64_t capacity = 0;
+  DISTME_RETURN_NOT_OK(r.ForEachMember([&](const std::string& key) -> Status {
+    if (key == "schema") return r.ReadInt(&dump.schema);
+    if (key == "wall_epoch_us") return r.ReadInt(&dump.wall_epoch_us);
+    if (key == "steady_epoch_us") return r.ReadInt(&dump.steady_epoch_us);
+    if (key == "total_recorded") return r.ReadInt(&total_recorded);
+    if (key == "capacity") return r.ReadInt(&capacity);
+    if (key != "events") return r.Fail("unknown key");
+    has_events = true;
+    dump.events.clear();
+    DISTME_RETURN_NOT_OK(r.Expect('['));
+    if (r.Consume(']')) return Status::OK();
+    do {
+      DISTME_RETURN_NOT_OK(ReadEvent(&r, &dump));
+    } while (r.Consume(','));
+    return r.Expect(']');
+  }));
+  r.SkipSpace();
+  if (!r.AtEnd()) return r.Fail("trailing bytes");
+  if (!has_events) return Status::Invalid("flight dump has no events array");
+  if (dump.schema != kFlightDumpSchema) {
+    return Status::Invalid(
+        "unsupported flight dump schema " + std::to_string(dump.schema) +
+        "; this build reads schema " + std::to_string(kFlightDumpSchema) +
+        " only, re-dump the run with it");
+  }
+  if (total_recorded < 0 || capacity < 0) {
+    return Status::Invalid("flight dump has a negative event count");
+  }
+  dump.total_recorded = static_cast<uint64_t>(total_recorded);
+  dump.capacity = static_cast<uint64_t>(capacity);
+  return dump;
 }
 
 namespace {

@@ -15,13 +15,17 @@
 
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/result.h"
 #include "common/status.h"
 #include "common/thread_annotations.h"
 
@@ -38,15 +42,13 @@ enum class FlightEventType : uint8_t {
   kRunStart = 0,       ///< executor run begins (a = planned tasks)
   kRunFinish,          ///< executor run ends (a = 0 ok / status code)
   kTaskStart,          ///< task attempt begins (a = task id, b = attempt)
-  kTaskFinish,         ///< task attempt succeeded (a = task id, b = µs)
+  kTaskFinish,         ///< task attempt ends, ok or not (a = task id,
+                       ///< b = µs); a failed one precedes its kTaskRetry
   kTaskRetry,          ///< task attempt failed (a = task id, b = attempt)
   kBlockFetch,         ///< remote block fetch (slot = src node, a = bytes)
   kBlockEmit,          ///< cross-node aggregation emit (a = bytes)
-  kGpuSubmit,          ///< GPU subcuboid submitted (a = subcuboid index)
-  kGpuComplete,        ///< GPU subcuboid completed (a = index, b = µs)
   kMemHighWater,       ///< task memory high-water doubled (a = peak bytes)
   kWatchdogStraggler,  ///< watchdog flagged a straggler (a = id, b = age µs)
-  kFatal,              ///< fatal error; the ring is being dumped
   kDepEdge,            ///< causal edge (a = task id, b = µs, detail = kind)
   kStageBegin,         ///< stage barrier opens (detail = stage name)
   kStageEnd,           ///< stage barrier closes (detail = stage name)
@@ -172,8 +174,9 @@ class FlightRecorder {
   /// overwritten concurrently are skipped, never torn.
   std::vector<FlightEvent> Snapshot() const;
 
-  /// \brief JSON dump: {"schema":3, "wall_epoch_us":…, "steady_epoch_us":…,
-  /// "total_recorded":…, "capacity":…, "events":[…]}.
+  /// \brief JSON dump: {"schema":4, "wall_epoch_us":…, "steady_epoch_us":…,
+  /// "total_recorded":…, "capacity":…, "events":[…]}. ParseFlightDump()
+  /// reads it back.
   std::string ToJson() const;
 
   /// \brief Writes ToJson() to `path`.
@@ -208,5 +211,56 @@ class FlightRecorder {
   bool fatal_dump_installed_
       DISTME_UNSHARED("Install/Uninstall are owner-thread calls") = false;
 };
+
+/// \brief The dump schema ToJson() writes and ParseFlightDump() reads.
+inline constexpr int64_t kFlightDumpSchema = 4;
+
+/// \brief Exclusive bound on every `ts_us`, `a` and `b` a dump may carry:
+/// ParseFlightDump() refuses a value outside [0, kFlightValueLimit). A ring
+/// records only non-negative timestamps, ids, counts, sizes, durations and
+/// tags, all far below it, and under it the difference of two values fits
+/// in int64.
+inline constexpr int64_t kFlightValueLimit = int64_t{1} << 62;
+
+/// \brief l + r, clamped to [-kFlightValueLimit, kFlightValueLimit]. The
+/// analyses sum event values with it: a parsed dump can hold any number of
+/// values near the limit, and a signed overflow is undefined behavior.
+inline int64_t FlightSum(int64_t l, int64_t r) {
+  int64_t sum = 0;
+  if (__builtin_add_overflow(l, r, &sum)) sum = r < 0 ? INT64_MIN : INT64_MAX;
+  return std::clamp(sum, -kFlightValueLimit, kFlightValueLimit);
+}
+
+/// \brief A flight dump read back from its JSON form. Owns the events'
+/// detail strings, so it is move-only: a copy's events would point into
+/// the original's storage.
+struct FlightDump {
+  int64_t schema = 0;
+  int64_t wall_epoch_us = 0;
+  int64_t steady_epoch_us = 0;
+  uint64_t total_recorded = 0;
+  uint64_t capacity = 0;
+  std::vector<FlightEvent> events;  ///< in dump order (oldest first)
+  /// Storage behind every event's `detail` (set nodes never move, not
+  /// even when the dump itself is moved).
+  std::set<std::string> details;
+
+  FlightDump() = default;
+  FlightDump(FlightDump&&) = default;
+  FlightDump& operator=(FlightDump&&) = default;
+  FlightDump(const FlightDump&) = delete;
+  FlightDump& operator=(const FlightDump&) = delete;
+
+  /// \brief Events the ring overwrote before the dump was taken.
+  uint64_t dropped() const {
+    return total_recorded > capacity ? total_recorded - capacity : 0;
+  }
+};
+
+/// \brief Parses a FlightRecorder::ToJson() document of schema
+/// kFlightDumpSchema. Corrupt or hostile input — truncation, a wrong type,
+/// an out-of-range integer, an unknown key or event type, another schema —
+/// returns an Invalid status; nothing aborts.
+[[nodiscard]] Result<FlightDump> ParseFlightDump(std::string_view json);
 
 }  // namespace distme::obs

@@ -1,9 +1,12 @@
 #include "obs/gpu_timeline.h"
 
 #include <algorithm>
+#include <cstdio>
 #include <deque>
 #include <map>
 #include <tuple>
+
+#include "common/units.h"
 
 namespace distme::obs {
 
@@ -65,7 +68,7 @@ double OverlapReport::kernel_utilization() const {
 
 double OverlapReport::effective_pcie_bytes_per_sec() const {
   if (copy_busy_us <= 0) return 0.0;
-  return static_cast<double>(h2d_bytes + d2h_bytes) /
+  return (static_cast<double>(h2d_bytes) + static_cast<double>(d2h_bytes)) /
          (static_cast<double>(copy_busy_us) * 1e-6);
 }
 
@@ -165,15 +168,15 @@ OverlapReport ComputeReport(const std::vector<const GpuInterval*>& intervals,
     switch (iv->engine) {
       case GpuEngine::kH2d:
         ++r.h2d_copies;
-        r.h2d_bytes += iv->payload;
+        r.h2d_bytes = FlightSum(r.h2d_bytes, iv->payload);
         break;
       case GpuEngine::kD2h:
         ++r.d2h_copies;
-        r.d2h_bytes += iv->payload;
+        r.d2h_bytes = FlightSum(r.d2h_bytes, iv->payload);
         break;
       case GpuEngine::kKernel:
         ++r.kernel_launches;
-        r.kernel_flops += iv->payload;
+        r.kernel_flops = FlightSum(r.kernel_flops, iv->payload);
         break;
       default:
         break;
@@ -381,25 +384,25 @@ GpuTimelineAnalysis AnalyzeGpuTimeline(const std::vector<FlightEvent>& events,
   // Whole-run aggregate: sums over devices, window = Σ device windows (a
   // duration, not a wall interval — window_begin_us stays 0). Tiling holds
   // for sums, and Σ min(copyᵢ, kernelᵢ) ≤ min(Σ copy, Σ kernel) keeps the
-  // overlap invariant.
+  // overlap invariant. The µs, byte and flop sums saturate (FlightSum).
   OverlapReport& run = analysis.run;
   run.pcie_peak_bytes_per_sec = pcie_peak_bytes_per_sec;
   for (const GpuDeviceTimeline& device : analysis.devices) {
     const OverlapReport& r = device.report;
-    run.window_end_us += r.window_us();
-    run.h2d_busy_us += r.h2d_busy_us;
-    run.d2h_busy_us += r.d2h_busy_us;
-    run.kernel_busy_us += r.kernel_busy_us;
-    run.copy_busy_us += r.copy_busy_us;
-    run.overlapped_us += r.overlapped_us;
-    run.kernel_bound_us += r.kernel_bound_us;
-    run.h2d_bound_us += r.h2d_bound_us;
-    run.d2h_bound_us += r.d2h_bound_us;
-    run.bubble_us += r.bubble_us;
+    run.window_end_us = FlightSum(run.window_end_us, r.window_us());
+    run.h2d_busy_us = FlightSum(run.h2d_busy_us, r.h2d_busy_us);
+    run.d2h_busy_us = FlightSum(run.d2h_busy_us, r.d2h_busy_us);
+    run.kernel_busy_us = FlightSum(run.kernel_busy_us, r.kernel_busy_us);
+    run.copy_busy_us = FlightSum(run.copy_busy_us, r.copy_busy_us);
+    run.overlapped_us = FlightSum(run.overlapped_us, r.overlapped_us);
+    run.kernel_bound_us = FlightSum(run.kernel_bound_us, r.kernel_bound_us);
+    run.h2d_bound_us = FlightSum(run.h2d_bound_us, r.h2d_bound_us);
+    run.d2h_bound_us = FlightSum(run.d2h_bound_us, r.d2h_bound_us);
+    run.bubble_us = FlightSum(run.bubble_us, r.bubble_us);
+    run.h2d_bytes = FlightSum(run.h2d_bytes, r.h2d_bytes);
+    run.d2h_bytes = FlightSum(run.d2h_bytes, r.d2h_bytes);
+    run.kernel_flops = FlightSum(run.kernel_flops, r.kernel_flops);
     run.bubble_count += r.bubble_count;
-    run.h2d_bytes += r.h2d_bytes;
-    run.d2h_bytes += r.d2h_bytes;
-    run.kernel_flops += r.kernel_flops;
     run.h2d_copies += r.h2d_copies;
     run.d2h_copies += r.d2h_copies;
     run.kernel_launches += r.kernel_launches;
@@ -449,6 +452,38 @@ std::string GpuTimelineAnalysis::ToJson() const {
   JsonWriter w;
   AppendJson(&w);
   return w.str();
+}
+
+std::string GpuTimelineAnalysis::ToText() const {
+  std::string out;
+  char buf[256];
+  std::snprintf(buf, sizeof(buf),
+                "  gpu: %zu device%s | window %s | kernel busy %.0f%% | "
+                "overlap %.0f%% of copies | %lld bubble%s (%s)\n",
+                devices.size(), devices.size() == 1 ? "" : "s",
+                FormatSeconds(static_cast<double>(run.window_us()) * 1e-6)
+                    .c_str(),
+                run.kernel_utilization() * 100.0, run.overlap_ratio() * 100.0,
+                static_cast<long long>(run.bubble_count),
+                run.bubble_count == 1 ? "" : "s",
+                FormatSeconds(static_cast<double>(run.bubble_us) * 1e-6)
+                    .c_str());
+  out += buf;
+  const GpuWindowFractions f = run.WindowFractions();
+  std::snprintf(buf, sizeof(buf),
+                "  gpu window: kernel-bound %.0f%% | h2d-bound %.0f%% | "
+                "d2h-bound %.0f%% | bubble %.0f%%\n",
+                f.kernel_bound * 100.0, f.h2d_bound * 100.0,
+                f.d2h_bound * 100.0, f.bubble * 100.0);
+  out += buf;
+  std::snprintf(
+      buf, sizeof(buf),
+      "  gpu pcie: %s/s effective of %s/s peak | occupancy high-water %s\n",
+      FormatBytes(run.effective_pcie_bytes_per_sec()).c_str(),
+      FormatBytes(run.pcie_peak_bytes_per_sec).c_str(),
+      FormatBytes(static_cast<double>(occupancy_high_water_bytes)).c_str());
+  out += buf;
+  return out;
 }
 
 }  // namespace distme::obs

@@ -11,9 +11,9 @@
 //     d2h-bound, bubble} tiles the window exactly (priority kernel > h2d >
 //     d2h when engines overlap), so attribution never double-counts.
 //   - overlapped ≤ min(copy-busy, kernel-busy) by construction.
-// All arithmetic is integer µs on the device's virtual clock, so the C++
-// analyzer, `GET /gpu`, the explain GPU section, and the Python mirror in
-// scripts/distme_analyze.py --gpu report bit-identical numbers for one run.
+// All arithmetic is integer µs on the device's virtual clock. `GET /gpu`,
+// the explain GPU section and `distme_analyze --gpu` all print this one
+// analysis (through obs::AnalyzeRun), so they agree for one run.
 
 #pragma once
 
@@ -162,6 +162,9 @@ struct GpuTimelineAnalysis {
   bool empty() const { return devices.empty(); }
   void AppendJson(JsonWriter* writer) const;
   std::string ToJson() const;
+  /// \brief Indented text report: the run aggregate (window, busy, overlap,
+  /// bubbles), its window split, and PCI-E against the peak.
+  std::string ToText() const;
 };
 
 /// \brief Reconstructs per-engine timelines and overlap reports from a

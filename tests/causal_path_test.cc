@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -139,7 +140,7 @@ TEST(FlightDumpTest, HeaderCarriesWallClockAnchor) {
   FlightRecorder flight(64);
   flight.Record(Type::kRunStart, -1, -1, 0, 0, "real");
   const std::string json = flight.ToJson();
-  EXPECT_NE(json.find("\"schema\":3"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"schema\":4"), std::string::npos) << json;
   EXPECT_NE(json.find("\"wall_epoch_us\":"), std::string::npos);
   EXPECT_NE(json.find("\"steady_epoch_us\":"), std::string::npos);
   EXPECT_GT(flight.WallEpochMicros(), 0);
@@ -179,20 +180,80 @@ TEST(CriticalPathTest, HandCraftedChainHasKnownPath) {
   EXPECT_EQ(analysis.aggregate_us.at("exec"), 50 + 80);
 }
 
+// Two tasks chained on slot (0,0): task 0 waits `fetch_us` on its inputs
+// and computes 50 us, task 1 computes 80 us; then an aggregation barrier of
+// `agg_us` (none when 0) and `tail_us` of unexplained overhead.
+CriticalPathAnalysis ChainedRun(int64_t fetch_us, int64_t agg_us,
+                                int64_t tail_us) {
+  const int64_t t0_finish = 10 + fetch_us + 50;
+  const int64_t t1_finish = t0_finish + 80;
+  FlightRecorder flight(128);
+  flight.RecordAt(0, Type::kRunStart, -1, -1, 2, 0, "real");
+  flight.RecordAt(10, Type::kTaskStart, 0, 0, 0, 0, "t");
+  flight.RecordEdgeAt(10 + fetch_us, FlightEdgeKind::kFetchWait, 0, 0, 0,
+                      fetch_us);
+  flight.RecordAt(t0_finish, Type::kTaskFinish, 0, 0, 0, t0_finish - 10, "t");
+  flight.RecordAt(t0_finish, Type::kTaskStart, 0, 0, 1, 0, "t");
+  flight.RecordAt(t1_finish, Type::kTaskFinish, 0, 0, 1, 80, "t");
+  if (agg_us > 0) {
+    flight.RecordAt(t1_finish, Type::kStageBegin, -1, -1, 0, 0, "aggregation");
+    flight.RecordAt(t1_finish + agg_us, Type::kStageEnd, -1, -1, 0, 0,
+                    "aggregation");
+  }
+  flight.RecordAt(t1_finish + agg_us + tail_us, Type::kRunFinish, -1, -1, 2,
+                  0, "real");
+  return AnalyzeCriticalPath(BuildCausalGraph(flight.Snapshot()));
+}
+
+TEST(CriticalPathTest, DiffOfTwoHandBuiltSchedules) {
+  // Before: fetch 40, no barrier, 20 us overhead tail (wall 200). After:
+  // fetch 100 and a 20 us aggregation barrier (wall 260).
+  const CriticalPathAnalysis before = ChainedRun(40, 0, 20);
+  const CriticalPathAnalysis after = ChainedRun(100, 20, 0);
+  const CriticalPathDiff diff = DiffCriticalPaths(before, after);
+  EXPECT_EQ(diff.wall_before_us, 200);
+  EXPECT_EQ(diff.wall_after_us, 260);
+  const std::map<std::string, int64_t> attribution = {
+      {"compute", 0}, {"overhead", -20}, {"scheduling", 0}, {"shuffle", 80}};
+  EXPECT_EQ(diff.attribution_delta_us, attribution);
+  const std::map<std::string, int64_t> stages = {{"aggregation", 20}};
+  EXPECT_EQ(diff.stage_delta_us, stages);
+  // Compute (130 us) still outweighs shuffle (120 us).
+  EXPECT_TRUE(diff.stable());
+  EXPECT_EQ(diff.bottleneck_after, "compute");
+  EXPECT_NEAR(diff.fraction_after, 130.0 / 260.0, 1e-12);
+  EXPECT_EQ(diff.hops_entered, std::vector<std::string>{"stage aggregation"});
+  EXPECT_EQ(diff.hops_left, std::vector<std::string>{"overhead"});
+  EXPECT_NE(diff.ToText().find("[stable]"), std::string::npos);
+
+  // A 150 us fetch makes the run shuffle-bound (170 us against 130 us).
+  const CriticalPathDiff moved =
+      DiffCriticalPaths(before, ChainedRun(150, 20, 0));
+  EXPECT_FALSE(moved.stable());
+  EXPECT_EQ(moved.bottleneck_before, "compute");
+  EXPECT_EQ(moved.bottleneck_after, "shuffle");
+  EXPECT_NE(moved.ToText().find("[CHANGED]"), std::string::npos);
+}
+
 TEST(CriticalPathTest, StageBarriersExplainTaskFreeIntervals) {
   // A sim-shaped run: repartition stage, multiply stage with one task, an
-  // aggregation stage, and run bounds beyond the last stage.
+  // aggregation stage, and run bounds beyond the last stage. Task 1 has no
+  // length and sits at the multiply barrier (a sub-µs sim task rounds to
+  // one): it binds where it ends, so it explains nothing, and the walk must
+  // still move on to the repartition barrier.
   FlightRecorder flight(128);
-  flight.RecordAt(0, Type::kRunStart, -1, -1, 1, 0, "sim");
+  flight.RecordAt(0, Type::kRunStart, -1, -1, 2, 0, "sim");
   flight.RecordAt(5, Type::kStageBegin, -1, -1, 0, 0, "repartition");
   flight.RecordAt(100, Type::kStageEnd, -1, -1, 0, 0, "repartition");
   flight.RecordAt(100, Type::kStageBegin, -1, -1, 0, 0, "multiply");
   flight.RecordAt(100, Type::kTaskStart, 0, 0, 0, 0, "sim");
+  flight.RecordAt(100, Type::kTaskStart, 0, 1, 1, 0, "sim");
+  flight.RecordAt(100, Type::kTaskFinish, 0, 1, 1, 0, "sim");
   flight.RecordAt(160, Type::kTaskFinish, 0, 0, 0, 60, "sim");
   flight.RecordAt(180, Type::kStageEnd, -1, -1, 0, 0, "multiply");
   flight.RecordAt(180, Type::kStageBegin, -1, -1, 0, 0, "aggregation");
   flight.RecordAt(230, Type::kStageEnd, -1, -1, 0, 0, "aggregation");
-  flight.RecordAt(230, Type::kRunFinish, -1, -1, 1, 0, "sim");
+  flight.RecordAt(230, Type::kRunFinish, -1, -1, 2, 0, "sim");
 
   const CriticalPathAnalysis analysis =
       AnalyzeCriticalPath(BuildCausalGraph(flight.Snapshot()));

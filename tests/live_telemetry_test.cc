@@ -1,5 +1,6 @@
 // Live-telemetry suite: flight-recorder ring semantics (wraparound, fatal
-// dump), Prometheus text rendering, the loopback HTTP scrape endpoint, the
+// dump, reading a dump back from real and hostile JSON), Prometheus text
+// rendering, the loopback HTTP scrape endpoint, the
 // background sampler's retention/monotonicity, and the straggler watchdog —
 // plus the end-to-end paths through Session (live scrape of a real run,
 // flight dump on an injected task failure).
@@ -17,11 +18,17 @@
 #include <limits>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
+#include "common/units.h"
 #include "core/session.h"
+#include "obs/critical_path.h"
+#include "obs/export.h"
 #include "obs/flight_recorder.h"
 #include "obs/http_endpoint.h"
 #include "obs/metrics.h"
@@ -89,8 +96,6 @@ TEST(FlightRecorderTest, EventTypeNamesCoverTheEnum) {
   EXPECT_STREQ(
       obs::FlightEventTypeName(obs::FlightEventType::kWatchdogStraggler),
       "watchdog_straggler");
-  EXPECT_STREQ(obs::FlightEventTypeName(obs::FlightEventType::kFatal),
-               "fatal");
   EXPECT_STREQ(obs::FlightEventTypeName(obs::FlightEventType::kNumTypes),
                "unknown");
 }
@@ -102,6 +107,199 @@ TEST(FlightRecorderTest, ToJsonCarriesEventsAndDetail) {
   EXPECT_NE(json.find("\"total_recorded\""), std::string::npos);
   EXPECT_NE(json.find("\"task_start\""), std::string::npos);
   EXPECT_NE(json.find("\"attempt 1\""), std::string::npos);
+}
+
+// --- Flight-dump reader -----------------------------------------------------
+
+// A real multi-run ring: three multiplies with injected faults overflow a
+// 64-slot ring, then two hand-recorded events add a free-form detail and
+// one that survives only if the writer escapes it and the reader
+// unescapes it.
+struct RingDump {
+  std::vector<obs::FlightEvent> events;
+  std::string json;
+  uint64_t total_recorded = 0;
+};
+
+RingDump MultiRunRing() {
+  core::Session::Options options;
+  options.cluster = ClusterConfig::Local(2, 1);
+  options.flight_recorder_capacity = 64;
+  options.real.task_failure_rate = 0.3;
+  options.real.max_task_attempts = 100;
+  core::Session session(options);
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    GeneratorOptions g;
+    g.rows = g.cols = 16;
+    g.block_size = 8;
+    g.sparsity = 1.0;
+    g.seed = seed;
+    auto a = session.Generate(g);
+    g.seed += 10;
+    auto b = session.Generate(g);
+    EXPECT_TRUE(a.ok() && b.ok() && session.Multiply(*a, *b).ok());
+  }
+  obs::FlightRecorder& flight = session.flight();
+  flight.Record(obs::FlightEventType::kTaskStart, 1, 0, 5, 1, "attempt 1");
+  flight.Record(obs::FlightEventType::kStageBegin, -1, -1, 0, 0,
+                "tab\t \"quote\" back\\slash \x01 nl\n end");
+  return {flight.Snapshot(), flight.ToJson(), flight.TotalRecorded()};
+}
+
+// Parses a private exact-size copy of `text`, so ASan flags any read past
+// its end.
+Result<obs::FlightDump> ParseCopy(std::string_view text) {
+  const std::vector<char> copy(text.begin(), text.end());
+  return obs::ParseFlightDump(std::string_view(copy.data(), copy.size()));
+}
+
+TEST(FlightRecorderTest, ParseFlightDumpRoundTripsARealMultiRunRing) {
+  const RingDump ring = MultiRunRing();
+  Result<obs::FlightDump> parsed = ParseCopy(ring.json);
+  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+  // The details live in the dump, and survive moving it.
+  const obs::FlightDump dump = std::move(parsed).value();
+  EXPECT_EQ(dump.schema, obs::kFlightDumpSchema);
+  EXPECT_EQ(dump.total_recorded, ring.total_recorded);
+  EXPECT_EQ(dump.capacity, 64u);
+  EXPECT_GT(dump.dropped(), 0u) << "three runs should wrap the ring";
+  ASSERT_EQ(dump.events.size(), ring.events.size());
+  int run_finishes = 0;
+  for (size_t i = 0; i < dump.events.size(); ++i) {
+    const obs::FlightEvent& want = ring.events[i];
+    const obs::FlightEvent& got = dump.events[i];
+    EXPECT_EQ(std::tie(got.seq, got.ts_us, got.type, got.node, got.slot,
+                       got.a, got.b),
+              std::tie(want.seq, want.ts_us, want.type, want.node, want.slot,
+                       want.a, want.b))
+        << i;
+    if (want.detail == nullptr) {
+      EXPECT_EQ(got.detail, nullptr) << i;
+    } else {
+      ASSERT_NE(got.detail, nullptr) << i;
+      EXPECT_STREQ(got.detail, want.detail) << i;
+    }
+    run_finishes += got.type == obs::FlightEventType::kRunFinish;
+  }
+  EXPECT_GE(run_finishes, 2) << "the dump should hold more than one run";
+  EXPECT_STREQ(dump.events.back().detail,
+               "tab\t \"quote\" back\\slash \x01 nl\n end");
+  EXPECT_STREQ(dump.events[dump.events.size() - 2].detail, "attempt 1");
+}
+
+// Runs every analysis distme_analyze offers on `dump`: under UBSan an
+// overflow on any value the reader let through aborts the test.
+void AnalyzeEverything(const obs::FlightDump& dump) {
+  const obs::RunAnalysis run = obs::AnalyzeRun(dump.events, 12.0 * kGiB);
+  const obs::RunAnalysis none;
+  for (const obs::CriticalPathDiff& diff :
+       {obs::DiffCriticalPaths(run.critical_path, run.critical_path),
+        obs::DiffCriticalPaths(none.critical_path, run.critical_path),
+        obs::DiffCriticalPaths(run.critical_path, none.critical_path)}) {
+    EXPECT_FALSE(diff.ToText().empty());
+  }
+  EXPECT_FALSE(run.critical_path.ToText().empty());
+  EXPECT_FALSE(run.critical_path.ToJson().empty());
+  EXPECT_FALSE(run.gpu.ToText().empty());
+  EXPECT_FALSE(run.gpu.ToJson().empty());
+  EXPECT_FALSE(obs::ChromeTraceJson(dump.events, dump.total_recorded,
+                                    dump.capacity)
+                   .empty());
+}
+
+TEST(FlightRecorderTest, ParseFlightDumpRejectsHostileInput) {
+  const std::string json = MultiRunRing().json;
+  const size_t events = ParseCopy(json)->events.size();
+  // Every truncated prefix fails.
+  for (size_t n = 0; n < json.size(); ++n) {
+    EXPECT_FALSE(ParseCopy(std::string_view(json).substr(0, n)).ok()) << n;
+  }
+  // A flipped byte fails, or leaves a dump that parses whole and analyzes.
+  for (size_t i = 0; i < json.size(); ++i) {
+    for (const char mask : {'\x01', '\x80'}) {
+      std::string flipped = json;
+      flipped[i] = static_cast<char>(flipped[i] ^ mask);
+      const Result<obs::FlightDump> dump = ParseCopy(flipped);
+      if (dump.ok()) {
+        EXPECT_EQ(dump->events.size(), events) << i;
+        AnalyzeEverything(*dump);
+      }
+    }
+  }
+
+  const std::string event =
+      R"({"seq":1,"ts_us":5,"type":"task_finish","node":0,"slot":1,"a":2,)"
+      R"("b":4611686018427387903})";
+  // `event` with `from` replaced by `to`, as the one event of a dump.
+  auto dump_with = [&event](const std::string& from, const std::string& to) {
+    std::string e = event;
+    if (!from.empty()) e.replace(e.find(from), from.size(), to);
+    return R"({"schema":4,"total_recorded":1,"capacity":64,"events":[)" + e +
+           "]}";
+  };
+  const Result<obs::FlightDump> valid = ParseCopy(dump_with("", ""));
+  ASSERT_TRUE(valid.ok()) << valid.status().ToString();
+  AnalyzeEverything(*valid);
+  for (const auto& [from, to] : std::vector<std::pair<std::string, std::string>>{
+           {"\"ts_us\":5", "\"ts_us\":9223372036854775808"},
+           {"\"a\":2", "\"a\":-9223372036854775809"},
+           {"\"node\":0", "\"node\":2147483648"},
+           {"\"slot\":1", "\"slot\":-2147483649"},
+           // Past the value bound: a difference of two could overflow.
+           {"\"b\":4611686018427387903", "\"b\":-9223372036854775808"},
+           {"\"b\":4611686018427387903", "\"b\":4611686018427387904"},
+           {"\"ts_us\":5", "\"ts_us\":-1"},
+           {"\"ts_us\":5", "\"ts_us\":\"5\""},
+           {"\"a\":2", "\"a\":2.5"},
+           {"task_finish", "gpu_submit"},
+           {"\"seq\":1,", ""},
+       }) {
+    EXPECT_FALSE(ParseCopy(dump_with(from, to)).ok()) << to;
+  }
+  EXPECT_FALSE(ParseCopy(R"({"schema":4,"total_recorded":0,"capacity":64})")
+                   .ok());
+  // Only this build's schema is read: schema 3 rings held gpu_submit and
+  // gpu_complete, which schema 4 dropped.
+  EXPECT_FALSE(ParseCopy(R"({"schema":3,"events":[]})").ok());
+  EXPECT_FALSE(ParseCopy(R"({"schema":5,"events":[]})").ok());
+  EXPECT_FALSE(ParseCopy(R"({"schema":4,"events":[],"extra":0})").ok());
+  // Deep nesting, where a value, an event and an event field belong.
+  const std::string deep(100000, '[');
+  EXPECT_FALSE(ParseCopy(R"({"schema":)" + deep).ok());
+  EXPECT_FALSE(ParseCopy(R"({"schema":4,"events":)" + deep).ok());
+  EXPECT_FALSE(ParseCopy(R"({"schema":4,"events":[{"a":)" + deep).ok());
+}
+
+TEST(FlightRecorderTest, ParsedDumpAtTheValueBoundAnalyzesWithoutOverflow) {
+  // Every sum the analyses take — stage spans, task time, wait edges, hop
+  // durations, device windows, bytes and flops — over several values just
+  // under kFlightValueLimit, which no int64 sum of two can hold.
+  constexpr int64_t kMax = obs::kFlightValueLimit - 1;
+  using Type = obs::FlightEventType;
+  obs::FlightRecorder flight(64);
+  flight.RecordAt(0, Type::kRunStart, -1, -1, kMax);
+  for (int i = 0; i < 3; ++i) {
+    flight.RecordAt(0, Type::kStageBegin, -1, -1, 0, 0, "multiply");
+    flight.RecordAt(kMax, Type::kStageEnd, -1, -1, 0, 0, "multiply");
+    // A task whose start fell off the ring, rebuilt as kMax - b = 0.
+    flight.RecordAt(kMax, Type::kTaskFinish, 0, i, i, kMax);
+    flight.RecordEdgeAt(kMax, obs::FlightEdgeKind::kFetchWait, 0, i, i, kMax);
+    const int64_t tag = obs::PackGpuTag(0, kMax, kMax);
+    flight.RecordAt(0, Type::kGpuH2dBegin, i, 0, kMax, tag);
+    flight.RecordAt(kMax, Type::kGpuH2dEnd, i, 0, kMax, tag);
+    flight.RecordAt(0, Type::kGpuKernelBegin, i, 0, kMax, tag);
+    flight.RecordAt(kMax, Type::kGpuKernelEnd, i, 0, kMax, tag);
+  }
+  flight.RecordAt(kMax, Type::kRunFinish, -1, -1, kMax, 0);
+  const Result<obs::FlightDump> dump = ParseCopy(flight.ToJson());
+  ASSERT_TRUE(dump.ok()) << dump.status().ToString();
+  AnalyzeEverything(*dump);
+  const obs::RunAnalysis run = obs::AnalyzeRun(dump->events, 12.0 * kGiB);
+  EXPECT_EQ(run.critical_path.stage_us.at("multiply"), obs::kFlightValueLimit);
+  EXPECT_EQ(run.critical_path.aggregate_us.at("fetch_wait"),
+            obs::kFlightValueLimit);
+  EXPECT_EQ(run.gpu.run.h2d_bytes, obs::kFlightValueLimit);
+  EXPECT_EQ(run.gpu.run.window_us(), obs::kFlightValueLimit);
 }
 
 TEST(FlightRecorderTest, DumpToFileWritesJson) {

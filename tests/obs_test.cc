@@ -1,8 +1,8 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
+#include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
@@ -12,8 +12,9 @@
 #include "matrix/generator.h"
 #include "mm/methods.h"
 #include "obs/export.h"
+#include "obs/flight_recorder.h"
+#include "obs/gpu_timeline.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace distme::obs {
 namespace {
@@ -146,134 +147,83 @@ TEST(HistogramTest, SingleValuePercentilesCollapse) {
   EXPECT_DOUBLE_EQ(h->Percentile(99), 42.0);
 }
 
-// --- Tracer / TraceSpan ----------------------------------------------------
-
-TEST(TraceSpanTest, DisabledTracerRecordsNothing) {
-  Tracer tracer;  // disabled by default
-  {
-    TraceSpan span(&tracer, "noop");
-    span.AddArg("k", int64_t{1});
-  }
-  { TraceSpan null_span(nullptr, "noop"); }
-  EXPECT_EQ(tracer.EventCount(), 0u);
-}
-
-TEST(TraceSpanTest, CancelDiscardsTheSpan) {
-  Tracer tracer;
-  tracer.SetEnabled(true);
-  {
-    TraceSpan span(&tracer, "kept");
-  }
-  {
-    TraceSpan span(&tracer, "discarded");
-    span.Cancel();
-  }
-  std::vector<TraceEvent> events = tracer.Drain();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].name, "kept");
-}
-
-TEST(TraceSpanTest, NestedSpansDrainEnclosingFirst) {
-  Tracer tracer;
-  tracer.SetEnabled(true);
-  {
-    TraceSpan outer(&tracer, "outer");
-    // The children must start measurably after the parent: spans that open
-    // in the same microsecond tie on (ts, dur) and drain in buffer order.
-    const auto until =
-        std::chrono::steady_clock::now() + std::chrono::microseconds(2);
-    while (std::chrono::steady_clock::now() < until) {
-    }
-    {
-      TraceSpan inner(&tracer, "inner");
-      TraceSpan innermost(&tracer, "innermost");
-    }
-  }
-  std::vector<TraceEvent> events = tracer.Drain();
-  ASSERT_EQ(events.size(), 3u);
-  // Drain() sorts by (ts asc, dur desc): parents precede their children.
-  EXPECT_EQ(events[0].name, "outer");
-  for (size_t i = 1; i < events.size(); ++i) {
-    EXPECT_GE(events[i].ts_us, events[0].ts_us);
-    EXPECT_LE(events[i].ts_us + events[i].dur_us,
-              events[0].ts_us + events[0].dur_us);
-  }
-}
-
-TEST(TraceSpanTest, ScopedTrackRoutesSpans) {
-  Tracer tracer;
-  tracer.SetEnabled(true);
-  {
-    Tracer::ScopedTrack track(2, 5);
-    TraceSpan span(&tracer, "on-node2");
-    EXPECT_EQ(Tracer::CurrentPid(), 2);
-    EXPECT_EQ(Tracer::CurrentTid(), 5);
-  }
-  EXPECT_EQ(Tracer::CurrentPid(), 0);
-  {
-    TraceSpan span(&tracer, "on-node0");
-  }
-  std::vector<TraceEvent> events = tracer.Drain();
-  ASSERT_EQ(events.size(), 2u);
-  EXPECT_EQ(events[0].name, "on-node2");
-  EXPECT_EQ(events[0].pid, 2);
-  EXPECT_EQ(events[0].tid, 5);
-  EXPECT_EQ(events[1].pid, 0);
-}
-
-TEST(TracerTest, ManyThreadsLoseNoEvents) {
-  constexpr int kThreads = 8;
-  constexpr int kSpans = 2000;
-  Tracer tracer;
-  tracer.SetEnabled(true);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&tracer, t] {
-      Tracer::ScopedTrack track(0, t);
-      for (int i = 0; i < kSpans; ++i) {
-        TraceSpan span(&tracer, "w");
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  EXPECT_EQ(tracer.Drain().size(), size_t{kThreads} * kSpans);
-}
-
 // --- Exporters -------------------------------------------------------------
 
 TEST(ChromeTraceTest, EmitsRequiredKeysAndMetadata) {
-  Tracer tracer;
-  tracer.SetEnabled(true);
-  tracer.SetProcessName(0, "node0");
-  tracer.SetThreadName(0, 1, "slot1");
-  {
-    Tracer::ScopedTrack track(0, 1);
-    TraceSpan span(&tracer, "task.attempt", "engine");
-    span.AddArg("task", int64_t{7});
-    span.AddArg("ratio", 0.5);
-    span.AddArg("why", std::string("test \"quoted\" value"));
-  }
-  const std::string json = ChromeTraceJson(tracer, tracer.Drain());
+  FlightRecorder flight(64);
+  const char* stage = "merge \"quoted\" stage";
+  flight.RecordAt(0, FlightEventType::kRunStart, -1, -1, 1);
+  flight.RecordAt(5, FlightEventType::kStageBegin, -1, -1, 0, 0, stage);
+  flight.RecordAt(10, FlightEventType::kTaskStart, 0, 1, 7, 0);
+  flight.RecordEdgeAt(30, FlightEdgeKind::kFetchWait, 0, 1, 7, 15);
+  flight.RecordAt(50, FlightEventType::kTaskFinish, 0, 1, 7, 40);
+  flight.RecordAt(60, FlightEventType::kStageEnd, -1, -1, 0, 0, stage);
+  flight.RecordAt(70, FlightEventType::kRunFinish, -1, -1, 1, 0);
+  const std::string json = ChromeTraceJson(
+      flight.Snapshot(), flight.TotalRecorded(), flight.capacity());
 
-  // Document structure plus the keys every trace viewer requires.
+  // Document structure, plus the ring accounting a drop check reads.
   EXPECT_NE(json.find("\"traceEvents\":["), std::string::npos);
   EXPECT_NE(json.find("\"displayTimeUnit\":\"ms\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\":\"task.attempt\""), std::string::npos);
-  EXPECT_NE(json.find("\"cat\":\"engine\""), std::string::npos);
-  EXPECT_NE(json.find("\"ts\":"), std::string::npos);
-  EXPECT_NE(json.find("\"dur\":"), std::string::npos);
-  EXPECT_NE(json.find("\"pid\":0"), std::string::npos);
-  EXPECT_NE(json.find("\"tid\":1"), std::string::npos);
+  EXPECT_NE(json.find("\"total_recorded\":7"), std::string::npos);
+  EXPECT_NE(json.find("\"capacity\":64"), std::string::npos);
+  // The attempt spans task_start..task_finish on its (node 0, slot 1) track,
+  // with every key a trace viewer requires.
+  EXPECT_NE(json.find("{\"name\":\"task.attempt\",\"cat\":\"task\",\"ph\":"
+                      "\"X\",\"ts\":10,\"dur\":40,\"pid\":0,\"tid\":1,"
+                      "\"args\":{\"task\":7,\"attempt\":0}}"),
+            std::string::npos)
+      << json;
+  // The fetch_wait edge is the 15 us ending at ts 30, on the same track.
+  EXPECT_NE(json.find("{\"name\":\"fetch_wait\",\"cat\":\"edge\",\"ph\":\"X\","
+                      "\"ts\":15,\"dur\":15,\"pid\":0,\"tid\":1,"),
+            std::string::npos);
+  // Run and stage sit on the driver track: pid 1, one past the top node.
+  EXPECT_NE(json.find("{\"name\":\"run\",\"cat\":\"driver\",\"ph\":\"X\","
+                      "\"ts\":0,\"dur\":70,\"pid\":1,\"tid\":0,"),
+            std::string::npos);
+  // The stage name is escaped.
+  EXPECT_NE(json.find("{\"name\":\"merge \\\"quoted\\\" stage\",\"cat\":"
+                      "\"stage\",\"ph\":\"X\",\"ts\":5,\"dur\":55,\"pid\":1,"),
+            std::string::npos);
   // Track-name metadata events.
-  EXPECT_NE(json.find("\"ph\":\"M\""), std::string::npos);
-  EXPECT_NE(json.find("\"process_name\""), std::string::npos);
-  EXPECT_NE(json.find("\"thread_name\""), std::string::npos);
-  EXPECT_NE(json.find("node0"), std::string::npos);
-  EXPECT_NE(json.find("slot1"), std::string::npos);
-  // Args, including escaped strings.
-  EXPECT_NE(json.find("\"task\":7"), std::string::npos);
-  EXPECT_NE(json.find("\\\"quoted\\\""), std::string::npos);
+  EXPECT_NE(json.find("{\"name\":\"process_name\",\"ph\":\"M\",\"ts\":0,"
+                      "\"pid\":0,\"tid\":0,\"args\":{\"name\":\"node0\"}}"),
+            std::string::npos);
+  EXPECT_NE(json.find("{\"name\":\"thread_name\",\"ph\":\"M\",\"ts\":0,"
+                      "\"pid\":0,\"tid\":1,\"args\":{\"name\":\"slot1\"}}"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"args\":{\"name\":\"driver\"}"), std::string::npos);
+}
+
+TEST(ChromeTraceTest, DeviceIntervalsOfEveryRunGetADeviceProcess) {
+  // Two runs, each with one H2D copy and one kernel on node 0's device 0.
+  // The intervals sit on the device's virtual clock, so they get a process
+  // of their own — and both runs' intervals are drawn, not only the last.
+  FlightRecorder flight(64);
+  const int64_t tag = PackGpuTag(0, /*cuboid_id=*/3, /*sub_index=*/1);
+  for (int64_t run = 0; run < 2; ++run) {
+    const int64_t t = 100 * run;
+    flight.RecordAt(t, FlightEventType::kRunStart, -1, -1, 1);
+    flight.RecordAt(t, FlightEventType::kGpuH2dBegin, 0, 0, 4096, tag);
+    flight.RecordAt(t + 10, FlightEventType::kGpuH2dEnd, 0, 0, 4096, tag);
+    flight.RecordAt(t + 10, FlightEventType::kGpuKernelBegin, 0, 0, 1000, tag);
+    flight.RecordAt(t + 30, FlightEventType::kGpuKernelEnd, 0, 0, 1000, tag);
+    flight.RecordAt(t + 40, FlightEventType::kRunFinish, -1, -1, 1);
+  }
+  const std::string json = ChromeTraceJson(
+      flight.Snapshot(), flight.TotalRecorded(), flight.capacity());
+  // Node 0 is the highest node, so the driver is pid 1 and the device pid 2.
+  for (const char* span :
+       {"{\"name\":\"h2d c3.1\",\"cat\":\"gpu\",\"ph\":\"X\",\"ts\":0,"
+        "\"dur\":10,\"pid\":2,\"tid\":0,\"args\":{\"bytes\":4096,",
+        "{\"name\":\"kernel c3.1\",\"cat\":\"gpu\",\"ph\":\"X\",\"ts\":110,"
+        "\"dur\":20,\"pid\":2,\"tid\":2,\"args\":{\"flops\":1000,"}) {
+    EXPECT_NE(json.find(span), std::string::npos) << span << "\n" << json;
+  }
+  EXPECT_NE(json.find("\"args\":{\"name\":\"node0 gpu0 (device clock)\"}"),
+            std::string::npos);
+  EXPECT_NE(json.find("\"args\":{\"name\":\"kernel\"}"), std::string::npos);
 }
 
 TEST(MetricsJsonTest, RendersEveryInstrumentKind) {
@@ -303,6 +253,42 @@ engine::DistributedMatrix MakeMatrix(int64_t rows, int64_t cols, int nodes,
   return engine::DistributedMatrix::FromGridHashed(GenerateUniform(g), nodes);
 }
 
+// One complete ("X") event of an exported trace.
+struct Span {
+  std::string name;
+  int64_t ts = 0;
+  int64_t dur = 0;
+  int64_t pid = 0;
+  int64_t tid = 0;
+  int64_t task = -1;  ///< the "task" arg, -1 if absent
+};
+
+// The complete events of a ChromeTraceJson() document. Relies on the
+// exporter's fixed key order: name, cat, ph, ts, dur, pid, tid, args.
+std::vector<Span> CompleteSpans(const std::string& json) {
+  std::vector<Span> spans;
+  const std::string ph = "\"ph\":\"X\"";
+  for (size_t at = json.find(ph); at != std::string::npos;
+       at = json.find(ph, at + 1)) {
+    Span span;
+    const size_t name = json.rfind("{\"name\":\"", at) + 9;
+    span.name = json.substr(name, json.find('"', name) - name);
+    auto number_after = [&](const std::string& key) {
+      return std::strtoll(json.c_str() + json.find(key, at) + key.size(),
+                          nullptr, 10);
+    };
+    span.ts = number_after("\"ts\":");
+    span.dur = number_after("\"dur\":");
+    span.pid = number_after("\"pid\":");
+    span.tid = number_after("\"tid\":");
+    if (json.find("\"task\":", at) < json.find('}', at)) {
+      span.task = number_after("\"task\":");
+    }
+    spans.push_back(span);
+  }
+  return spans;
+}
+
 TEST(ObsIntegrationTest, RealRunSpansAndCountersMatchTheReport) {
   const ClusterConfig cluster = ClusterConfig::Local(3, 2);
   engine::RealExecutor executor(cluster);
@@ -310,21 +296,26 @@ TEST(ObsIntegrationTest, RealRunSpansAndCountersMatchTheReport) {
   engine::DistributedMatrix b = MakeMatrix(40, 32, 3, 12);
 
   MetricsRegistry metrics;
-  Tracer tracer;
-  tracer.SetEnabled(true);
+  FlightRecorder flight(4096);
   engine::RealOptions options;
   options.metrics = &metrics;
-  options.tracer = &tracer;
+  options.flight = &flight;
+  options.task_failure_rate = 0.3;
+  options.max_task_attempts = 100;  // retries always succeed eventually
 
   auto result = executor.Run(a, b, mm::CpmmMethod(), options);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   const engine::MMReport& report = result->report;
   ASSERT_TRUE(report.outcome.ok());
+  ASSERT_GT(report.task_retries, 0);  // the injected faults fired
+  ASSERT_LE(flight.TotalRecorded(), flight.capacity());  // nothing dropped
 
-  // Every task attempt opened exactly one "task.attempt" span.
-  std::vector<TraceEvent> events = tracer.Drain();
-  int64_t attempt_spans = 0;
-  for (const TraceEvent& e : events) attempt_spans += e.name == "task.attempt";
+  // Every task attempt, failed or not, is exactly one "task.attempt" span.
+  const std::vector<Span> spans = CompleteSpans(ChromeTraceJson(
+      flight.Snapshot(), flight.TotalRecorded(), flight.capacity()));
+  const int64_t attempt_spans =
+      std::count_if(spans.begin(), spans.end(),
+                    [](const Span& s) { return s.name == "task.attempt"; });
   EXPECT_EQ(attempt_spans, report.num_tasks + report.task_retries);
   EXPECT_EQ(attempt_spans,
             metrics.Snapshot().TotalValue("distme.task.attempts"));
@@ -337,12 +328,18 @@ TEST(ObsIntegrationTest, RealRunSpansAndCountersMatchTheReport) {
       snapshot.TotalValue("distme.shuffle.aggregation_bytes");
   EXPECT_EQ(static_cast<double>(counted), report.total_shuffle_bytes());
 
-  // Span tracks stay within the cluster: pids in [0, nodes] (nodes = driver).
-  for (const TraceEvent& e : events) {
-    EXPECT_GE(e.pid, 0);
-    EXPECT_LE(e.pid, cluster.num_nodes);
-    EXPECT_GE(e.ts_us, 0);
-    EXPECT_GE(e.dur_us, 0);
+  for (const Span& s : spans) {
+    // Tracks stay within the cluster: pids in [0, nodes] (nodes = driver).
+    EXPECT_GE(s.pid, 0);
+    EXPECT_LE(s.pid, cluster.num_nodes);
+    EXPECT_GE(s.ts, 0);
+    EXPECT_GE(s.dur, 0);
+    // A wait edge lies inside an attempt of its task on its track.
+    if (s.name != "fetch_wait" && s.name != "gpu_wait") continue;
+    EXPECT_TRUE(std::any_of(spans.begin(), spans.end(), [&](const Span& t) {
+      return t.name == "task.attempt" && t.task == s.task && t.pid == s.pid &&
+             t.tid == s.tid && t.ts <= s.ts && s.ts + s.dur <= t.ts + t.dur;
+    })) << s.name << " of task " << s.task << " at " << s.ts;
   }
 }
 

@@ -199,7 +199,7 @@ TEST(StreamingTest, FailingSourcePropagatesAndLeaksNothing) {
       device.AttachFlight(&flight, 0, 0);
       const int64_t memory_before = device.memory_used();
       auto result = RunCuboidOnGpu(box, s.a.shape(), s.b.shape(), &source,
-                                   &device, 4 * kMiB, nullptr, &flight);
+                                   &device, 4 * kMiB);
       ASSERT_FALSE(result.ok())
           << "fail_a=" << fail_a << " budget=" << budget;
       EXPECT_NE(result.status().ToString().find("injected"),

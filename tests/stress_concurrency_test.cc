@@ -10,7 +10,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,7 +23,6 @@
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/sampler.h"
-#include "obs/trace.h"
 #include "obs/watchdog.h"
 
 namespace distme {
@@ -252,58 +250,14 @@ TEST(StressConcurrencyTest, GpuDeviceStatsReaderHammer) {
   EXPECT_EQ(device.memory_used(), 0);
 }
 
-// --- Tracer -----------------------------------------------------------------
-
-// Same story for Tracer: process_names()/thread_names() used to hand back
-// const references to maps that SetProcessName/SetThreadName mutate; they
-// now copy under the tracer mutex. Readers iterate their snapshots while
-// writers rename tracks and record events into the per-thread buffers.
-TEST(StressConcurrencyTest, TracerNameMapReaderHammer) {
-  obs::Tracer tracer;
-  tracer.SetEnabled(true);
-  std::atomic<bool> stop{false};
-
-  std::thread reader([&] {
-    while (!stop.load(std::memory_order_acquire)) {
-      const std::map<int, std::string> pids = tracer.process_names();
-      for (const auto& [pid, name] : pids) {
-        EXPECT_EQ(name, "node-" + std::to_string(pid));
-      }
-      const auto tids = tracer.thread_names();
-      for (const auto& [key, name] : tids) {
-        EXPECT_FALSE(name.empty());
-      }
-      EXPECT_GE(tracer.EventCount(), size_t{0});
-    }
-  });
-
-  RunOnThreads([&](int t) {
-    for (int i = 0; i < kItersPerThread / 4; ++i) {
-      tracer.SetProcessName(t, "node-" + std::to_string(t));
-      tracer.SetThreadName(t, i % 4, "slot-" + std::to_string(i % 4));
-      obs::TraceEvent event;
-      event.name = "stress";
-      event.pid = t;
-      event.tid = i % 4;
-      tracer.Record(std::move(event));
-    }
-  });
-  stop.store(true, std::memory_order_release);
-  reader.join();
-
-  EXPECT_EQ(tracer.process_names().size(), size_t{kThreads});
-  EXPECT_EQ(tracer.EventCount(),
-            size_t{kThreads} * static_cast<size_t>(kItersPerThread / 4));
-  EXPECT_EQ(tracer.Drain().size(),
-            size_t{kThreads} * static_cast<size_t>(kItersPerThread / 4));
-}
-
 // --- RealExecutor / Session -------------------------------------------------
 
 // Whole-engine stress: several sessions run real multiplies concurrently,
 // each spinning up its own RealExecutor task slots, per-node stores, metrics
-// registry, tracer, and comm matrix. Catches races between executor
-// internals and the shared process state (logging ids, etc.).
+// registry, flight ring, and comm matrix, and each exports its ring as a
+// Chrome trace after every multiply while its watchdog still scans the ring.
+// Catches races between executor internals, the trace export, and the
+// shared process state (logging ids, etc.).
 TEST(StressConcurrencyTest, MultiSessionMultiplyHammer) {
   constexpr int kSessions = 8;
   std::vector<std::thread> threads;
@@ -321,7 +275,8 @@ TEST(StressConcurrencyTest, MultiSessionMultiplyHammer) {
       options.sample_period_ms = 1;
       options.watchdog_period_ms = 1;
       core::Session session(options);
-      session.EnableTracing();
+      const std::string trace =
+          testing::TempDir() + "/hammer_trace_" + std::to_string(s) + ".json";
 
       for (int round = 0; round < 3; ++round) {
         GeneratorOptions ga;
@@ -342,7 +297,8 @@ TEST(StressConcurrencyTest, MultiSessionMultiplyHammer) {
           break;
         }
         auto c = session.Multiply(*a, *b);
-        if (!c.ok() || c->rows() != 32 || c->cols() != 16) {
+        if (!c.ok() || c->rows() != 32 || c->cols() != 16 ||
+            !session.WriteTrace(trace).ok()) {
           failures.fetch_add(1);
           break;
         }
