@@ -11,7 +11,6 @@
 #include <string_view>
 
 #include "bench_util.h"
-#include "obs/sampler.h"
 #include "common/random.h"
 #include "engine/real_executor.h"
 #include "engine/sim_executor.h"
@@ -177,91 +176,38 @@ void BM_HistogramObserve(benchmark::State& state) {
 }
 BENCHMARK(BM_HistogramObserve);
 
-// Deterministic sampler-overhead measurement for the bench baseline
-// (scripts/bench_baseline.py). Runs the same simulated-executor workload
-// twice — sampler off, then sampler on at 1 ms — and records the elapsed
-// ratio. The ratio centres on 1.0 (the sampler only takes registry
-// snapshots on its own thread), which keeps it stable under the baseline's
-// relative tolerance where absolute per-iteration times would not be.
-int RunSamplerOverheadOnly(bench::BenchObs* obs) {
-  mm::MMProblem p = mm::MMProblem::DenseSquareBlocks(70000, 70000, 70000, 1000);
-  p.a.sparsity = p.b.sparsity = 0.5;
-  const ClusterConfig cluster = ClusterConfig::Paper();
-  engine::SimExecutor executor(cluster);
-  auto opt = mm::OptimizeCuboid(p, cluster);
-  if (!opt.ok()) {
-    std::fprintf(stderr, "optimizer failed: %s\n",
-                 opt.status().ToString().c_str());
-    return 1;
-  }
-  mm::CuboidMethod method(opt->spec);
-  engine::SimOptions options;
-  options.mode = engine::ComputeMode::kGpuStreaming;
-  obs->Wire(&options);
+// Keeps the best (minimum) batch time of each side over kOverheadReps
+// off/on pairs, alternating which side runs first (off/on, then on/off), so
+// neither side always inherits the other's warm caches or a drift in the
+// host's load. The minimum is the batch least disturbed by unrelated
+// machine noise, so the ratio isolates the feature's own cost. More pairs
+// of shorter batches make that minimum steadier: on a shared 4-vCPU host,
+// 6 pairs of 0.2 s batches put a ratio above 1.05 in 8 of 22 runs, and 20
+// pairs of 0.1 s batches in 3 of 29.
+constexpr int kOverheadReps = 20;
+constexpr double kOverheadBatchSeconds = 0.1;
 
-  auto run_batch = [&](int64_t iters) -> Result<double> {
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int64_t i = 0; i < iters; ++i) {
-      DISTME_ASSIGN_OR_RETURN(engine::MMReport report,
-                              executor.Run(p, method, options));
-      benchmark::DoNotOptimize(report);
+template <typename RunBatch>
+Status BestOffOn(RunBatch& run_batch, int64_t iters, double* best_off,
+                 double* best_on) {
+  for (int rep = 0; rep < kOverheadReps; ++rep) {
+    const bool on_first = rep % 2 == 1;
+    double seconds[2] = {0, 0};  // [off, on]
+    for (const bool on : {on_first, !on_first}) {
+      DISTME_ASSIGN_OR_RETURN(seconds[on ? 1 : 0], run_batch(iters, on));
     }
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                         t0)
-        .count();
-  };
-
-  // Calibrate the iteration count to >= ~0.2 s per batch so a batch
-  // dominates per-call overhead without making the repetitions slow.
-  int64_t iters = 1;
-  for (;;) {
-    auto elapsed = run_batch(iters);
-    if (!elapsed.ok()) {
-      std::fprintf(stderr, "run failed: %s\n",
-                   elapsed.status().ToString().c_str());
-      return 1;
-    }
-    if (*elapsed >= 0.2 || iters >= (int64_t{1} << 24)) break;
-    iters *= 2;
+    if (rep == 0 || seconds[0] < *best_off) *best_off = seconds[0];
+    if (rep == 0 || seconds[1] < *best_on) *best_on = seconds[1];
   }
-
-  // Alternate off/on batches and keep the best (minimum) time per side:
-  // the minimum is the run least disturbed by unrelated machine noise, so
-  // the ratio isolates the sampler's own cost instead of scheduler luck.
-  // 10 ms is already 100x a scrape-style period; it bounds the overhead
-  // from above while staying out of the degenerate busy-loop regime.
-  obs::Sampler sampler(obs->metrics(), obs->comm(),
-                       obs::SamplerOptions{/*period_ms=*/10,
-                                           /*max_samples=*/100000});
-  constexpr int kReps = 5;
-  double best_off = 0;
-  double best_on = 0;
-  for (int rep = 0; rep < kReps; ++rep) {
-    auto off = run_batch(iters);
-    if (!off.ok()) return 1;
-    sampler.Start();
-    auto on = run_batch(iters);
-    sampler.Stop();
-    if (!on.ok()) return 1;
-    if (rep == 0 || *off < best_off) best_off = *off;
-    if (rep == 0 || *on < best_on) best_on = *on;
-  }
-
-  const double ratio = best_on / best_off;
-  std::printf("sampler overhead: %lld iters x %d reps, best off %.3fs, "
-              "best on %.3fs (ratio %.4f, %lld samples)\n",
-              static_cast<long long>(iters), kReps, best_off, best_on, ratio,
-              static_cast<long long>(sampler.total_samples()));
-  obs->AddResult("sampler_overhead_ratio", ratio);
-  return 0;
+  return Status::OK();
 }
 
-// Analyzer-overhead measurement, same min-of-alternating-reps shape as
-// RunSamplerOverheadOnly. The "on" side wires a flight ring into the real
-// executor, which then emits the full causal timeline (task start/finish,
-// fetch/gpu dependency edges, block fetch/emit, stage barriers) — the cost
-// every real multiplication pays once the analyzer is enabled. The workload
-// is a real CPU multiply (384x384, block 64, RMM on 3x2 slots) so the ratio
+// Analyzer-overhead measurement, min-of-N in ABBA order (BestOffOn). The
+// "on" side wires a flight ring into the real executor, which then emits
+// the full causal timeline (task start/finish, fetch/gpu dependency edges,
+// stage barriers) — the cost every real multiplication pays once the
+// analyzer is enabled. The workload is a real CPU multiply (384x384,
+// block 64, RMM on 3x2 slots) so the ratio
 // compares emission against genuine task work, not against the simulator's
 // microsecond-scale cost model. The snapshot + BuildCausalGraph +
 // AnalyzeCriticalPath pass runs once per explain, off the per-task hot
@@ -310,7 +256,9 @@ int RunAnalyzerOverheadOnly(bench::BenchObs* obs) {
                    elapsed.status().ToString().c_str());
       return 1;
     }
-    if (*elapsed >= 0.2 || iters >= (int64_t{1} << 20)) break;
+    if (*elapsed >= kOverheadBatchSeconds || iters >= (int64_t{1} << 20)) {
+      break;
+    }
     iters *= 2;
   }
 
@@ -322,17 +270,9 @@ int RunAnalyzerOverheadOnly(bench::BenchObs* obs) {
     return 1;
   }
 
-  constexpr int kReps = 5;
   double best_off = 0;
   double best_on = 0;
-  for (int rep = 0; rep < kReps; ++rep) {
-    auto off = run_batch(iters, /*analyzer=*/false);
-    if (!off.ok()) return 1;
-    auto on = run_batch(iters, /*analyzer=*/true);
-    if (!on.ok()) return 1;
-    if (rep == 0 || *off < best_off) best_off = *off;
-    if (rep == 0 || *on < best_on) best_on = *on;
-  }
+  if (!BestOffOn(run_batch, iters, &best_off, &best_on).ok()) return 1;
 
   // Sanity-check the analysis the timeline feeds: the last run in the ring
   // must yield a critical path that tiles its wall time.
@@ -355,8 +295,8 @@ int RunAnalyzerOverheadOnly(bench::BenchObs* obs) {
   std::printf("analyzer overhead: %lld iters x %d reps, best off %.3fs, "
               "best on %.3fs (ratio %.4f raw %.4f, path %lld us over "
               "%zu tasks)\n",
-              static_cast<long long>(iters), kReps, best_off, best_on, ratio,
-              raw_ratio, static_cast<long long>(analysis.path_us),
+              static_cast<long long>(iters), kOverheadReps, best_off, best_on,
+              ratio, raw_ratio, static_cast<long long>(analysis.path_us),
               analysis.tasks.size());
   obs->AddResult("analyzer_overhead_ratio", ratio);
   return 0;
@@ -462,8 +402,8 @@ int RunPipelineOverlapOnly(bench::BenchObs* obs, int prefetch_depth) {
   return 0;
 }
 
-// GPU-observability overhead, same min-of-alternating-reps shape as the
-// sampler/analyzer measurements. The workload is Algorithm 1 itself
+// GPU-observability overhead, min-of-N in ABBA order like the analyzer
+// measurement. The workload is Algorithm 1 itself
 // (RunCuboidOnGpu on a software device); the "on" side attaches a flight
 // ring to the device so every H2D chunk, B-block copy, kernel launch, and
 // D2H writeback emits a schema-3 begin/end interval pair — two relaxed ring
@@ -518,7 +458,9 @@ int RunGpuObsOverheadOnly(bench::BenchObs* obs) {
                    elapsed.status().ToString().c_str());
       return 1;
     }
-    if (*elapsed >= 0.2 || iters >= (int64_t{1} << 20)) break;
+    if (*elapsed >= kOverheadBatchSeconds || iters >= (int64_t{1} << 20)) {
+      break;
+    }
     iters *= 2;
   }
   if (auto warm = run_batch(iters, /*attached=*/true); !warm.ok()) {
@@ -527,17 +469,9 @@ int RunGpuObsOverheadOnly(bench::BenchObs* obs) {
     return 1;
   }
 
-  constexpr int kReps = 5;
   double best_off = 0;
   double best_on = 0;
-  for (int rep = 0; rep < kReps; ++rep) {
-    auto off = run_batch(iters, /*attached=*/false);
-    if (!off.ok()) return 1;
-    auto on = run_batch(iters, /*attached=*/true);
-    if (!on.ok()) return 1;
-    if (rep == 0 || *off < best_off) best_off = *off;
-    if (rep == 0 || *on < best_on) best_on = *on;
-  }
+  if (!BestOffOn(run_batch, iters, &best_off, &best_on).ok()) return 1;
 
   // Sanity-check what the instrumentation produced: the snapshot must yield
   // a non-empty per-device timeline whose four window buckets tile the
@@ -565,8 +499,8 @@ int RunGpuObsOverheadOnly(bench::BenchObs* obs) {
   const double ratio = std::max(1.0, raw_ratio);
   std::printf("gpu-obs overhead: %lld iters x %d reps, best off %.3fs, "
               "best on %.3fs (ratio %.4f raw %.4f, %zu devices)\n",
-              static_cast<long long>(iters), kReps, best_off, best_on, ratio,
-              raw_ratio, analysis.devices.size());
+              static_cast<long long>(iters), kOverheadReps, best_off, best_on,
+              ratio, raw_ratio, analysis.devices.size());
   obs->AddResult("gpu_obs_overhead_ratio", ratio);
   return 0;
 }
@@ -672,19 +606,19 @@ int RunSimFlightDump(const std::string& path) {
 // micro benches record nothing into the bench's flight ring; the flag still
 // produces a valid (span-free) trace file so every bench binary accepts it.
 //
-// --sampler-overhead-only / --analyzer-overhead-only /
-// --gpu-obs-overhead-only / --pipeline-overlap-only bypass google-benchmark
-// entirely and run the deterministic on/off comparisons (recorded via
-// --bench-json=). The flags compose: one invocation records all ratios into
-// the same bench-json results map. --prefetch-depth=<k> sets the pipelined
-// depth the overlap comparison uses (default 4). --sim-flight-dump=<path> and --gpu-flight-dump=<path> (also
-// google-benchmark-free) write deterministic flight dumps — the simulated
+// --analyzer-overhead-only / --gpu-obs-overhead-only /
+// --pipeline-overlap-only bypass google-benchmark entirely and run the
+// deterministic on/off comparisons (recorded via --bench-json=). The flags
+// compose: one invocation records all ratios into the same bench-json
+// results map. --prefetch-depth=<k> sets the pipelined depth the overlap
+// comparison uses (default 4). --sim-flight-dump=<path> and
+// --gpu-flight-dump=<path> (also google-benchmark-free) write
+// deterministic flight dumps — the simulated
 // causal timeline and a real GPU-streaming run with device interval
 // events — for distme_analyze.
 int main(int argc, char** argv) {
   distme::bench::BenchObs obs(argc, argv);
   std::vector<char*> args = distme::bench::BenchObs::StripFlags(argc, argv);
-  bool sampler_overhead_only = false;
   bool analyzer_overhead_only = false;
   bool gpu_obs_overhead_only = false;
   bool pipeline_overlap_only = false;
@@ -696,11 +630,7 @@ int main(int argc, char** argv) {
   constexpr std::string_view kDepthFlag = "--prefetch-depth=";
   for (auto it = args.begin(); it != args.end();) {
     if (*it != nullptr &&
-        std::string_view(*it) == "--sampler-overhead-only") {
-      sampler_overhead_only = true;
-      it = args.erase(it);
-    } else if (*it != nullptr &&
-               std::string_view(*it) == "--analyzer-overhead-only") {
+        std::string_view(*it) == "--analyzer-overhead-only") {
       analyzer_overhead_only = true;
       it = args.erase(it);
     } else if (*it != nullptr &&
@@ -727,11 +657,10 @@ int main(int argc, char** argv) {
       ++it;
     }
   }
-  if (sampler_overhead_only || analyzer_overhead_only ||
-      gpu_obs_overhead_only || pipeline_overlap_only ||
-      !sim_flight_dump.empty() || !gpu_flight_dump.empty()) {
+  if (analyzer_overhead_only || gpu_obs_overhead_only ||
+      pipeline_overlap_only || !sim_flight_dump.empty() ||
+      !gpu_flight_dump.empty()) {
     int rc = 0;
-    if (sampler_overhead_only) rc |= distme::RunSamplerOverheadOnly(&obs);
     if (analyzer_overhead_only) rc |= distme::RunAnalyzerOverheadOnly(&obs);
     if (gpu_obs_overhead_only) rc |= distme::RunGpuObsOverheadOnly(&obs);
     if (pipeline_overlap_only) {

@@ -19,7 +19,6 @@
 #include "obs/http_endpoint.h"
 #include "obs/metrics.h"
 #include "obs/prom_export.h"
-#include "obs/sampler.h"
 
 namespace distme::bench {
 
@@ -48,9 +47,6 @@ inline void Banner(const std::string& title) {
 ///   --http-port=<port>        serve Prometheus text at
 ///                             http://127.0.0.1:<port>/metrics while the
 ///                             bench runs (0 = ephemeral, printed at start);
-///   --sample-period-ms=<ms>   snapshot metrics + comm matrix every <ms>
-///                             into an in-memory series (count printed at
-///                             exit);
 ///   --flight-dump=<path>      on destruction, dump the flight-recorder
 ///                             ring (JSON) to <path>; failed executor runs
 ///                             also dump there immediately.
@@ -67,22 +63,14 @@ class BenchObs {
         trace_out_(FlagValue(argc, argv, "--trace-out=")),
         flight_(trace_out_.empty() ? 4096 : kTraceEvents) {
     std::string http_port;
-    std::string sample_period_ms;
     for (int i = 1; i < argc; ++i) {
       const std::string_view arg = argv[i];
       MatchFlag(arg, "--metrics-out=", &metrics_out_);
       MatchFlag(arg, "--bench-json=", &bench_json_out_);
       MatchFlag(arg, "--http-port=", &http_port);
-      MatchFlag(arg, "--sample-period-ms=", &sample_period_ms);
       MatchFlag(arg, "--flight-dump=", &flight_dump_);
     }
     flight_.InstallFatalDump();
-    if (!sample_period_ms.empty()) {
-      obs::SamplerOptions so;
-      so.period_ms = std::atoll(sample_period_ms.c_str());
-      sampler_ = std::make_unique<obs::Sampler>(&metrics_, &comm_, so);
-      sampler_->Start();
-    }
     if (!http_port.empty()) {
       endpoint_ = std::make_unique<obs::HttpEndpoint>(
           [this](const std::string& path) {
@@ -117,12 +105,6 @@ class BenchObs {
     // Consumers of the registry/ring stop before anything is torn down
     // (same ordering contract as core::Session).
     if (endpoint_ != nullptr) endpoint_->Stop();
-    if (sampler_ != nullptr) {
-      sampler_->Stop();
-      std::printf("\nsampler: %lld samples at %lld ms\n",
-                  static_cast<long long>(sampler_->total_samples()),
-                  static_cast<long long>(sampler_->options().period_ms));
-    }
     if (!flight_dump_.empty()) {
       const Status st = flight_.DumpToFile(flight_dump_);
       if (st.ok()) {
@@ -172,7 +154,6 @@ class BenchObs {
   obs::MetricsRegistry* metrics() { return &metrics_; }
   obs::CommMatrix* comm() { return &comm_; }
   obs::FlightRecorder* flight() { return &flight_; }
-  obs::Sampler* sampler() { return sampler_.get(); }
   /// \brief Bound scrape port, or -1 when --http-port was not given.
   int http_port() const {
     return endpoint_ != nullptr ? endpoint_->port() : -1;
@@ -227,7 +208,6 @@ class BenchObs {
                     IsFlag(arg, "--metrics-out=") ||
                     IsFlag(arg, "--bench-json=") ||
                     IsFlag(arg, "--http-port=") ||
-                    IsFlag(arg, "--sample-period-ms=") ||
                     IsFlag(arg, "--flight-dump="))) {
         continue;
       }
@@ -270,7 +250,6 @@ class BenchObs {
   obs::MetricsRegistry metrics_;
   obs::CommMatrix comm_;
   obs::FlightRecorder flight_;
-  std::unique_ptr<obs::Sampler> sampler_;
   std::unique_ptr<obs::HttpEndpoint> endpoint_;
 };
 

@@ -27,11 +27,11 @@ import tempfile
 # (binary, extra argv) pairs. Deterministic benches only: their results are
 # closed-form model outputs (shuffle bytes, task counts, analytic costs),
 # identical on every machine. Wall-clock benches (bench_fig7_systems etc.)
-# are excluded on purpose. The two ratios below are the exception that
+# are excluded on purpose. The overhead ratios are the exception that
 # proves the rule: *_overhead_ratio keys are wall-clock derived but
-# scale-free (feature-on time / feature-off time, min-of-alternating-reps),
-# so ~1.0 on any machine — drift beyond tolerance means the sampler or the
-# critical-path analyzer got expensive.
+# scale-free (feature-on time / feature-off time, min of ABBA-ordered
+# reps), so ~1.0 on any machine — drift beyond tolerance means the flight
+# events the analyzers read got expensive to record.
 BENCHES = [
     ("bench_table2_costs", []),
     ("bench_validation_real", []),
@@ -41,8 +41,8 @@ BENCHES = [
     # when the analytic model drifts from the measured overlap.
     ("bench_fig7_gpu_util", []),
     ("bench_micro_engine",
-     ["--sampler-overhead-only", "--analyzer-overhead-only",
-      "--gpu-obs-overhead-only", "--pipeline-overlap-only"]),
+     ["--analyzer-overhead-only", "--gpu-obs-overhead-only",
+      "--pipeline-overlap-only"]),
 ]
 
 # Per-key tolerance overrides: (bench, key) -> allowed relative drift. The
@@ -50,7 +50,6 @@ BENCHES = [
 # feature that suddenly costs 15% of every run — gate them at 5% instead
 # (a recorded baseline of ~1.02 plus 5% still rejects anything near 1.10).
 TOLERANCE_OVERRIDES = {
-    ("bench_micro_engine", "sampler_overhead_ratio"): 0.05,
     ("bench_micro_engine", "analyzer_overhead_ratio"): 0.05,
     ("bench_micro_engine", "gpu_obs_overhead_ratio"): 0.05,
     # Overlap gate, not an overhead gate: the bench floors the recorded

@@ -124,32 +124,26 @@ if [[ "$run_sanitize" -eq 1 ]]; then
 
   echo
   echo "== sanitizer matrix: TSan over the concurrency + telemetry suites =="
+  # stress_concurrency_test: every shared component hammered by writers
+  #   while one reader thread snapshots the registry, comm matrix and
+  #   flight ring; includes PipelinedMultiplyHammer, the regression test for
+  #   the RealExecutor fetch-to-worker handoff (8-slot prefetch pipelines
+  #   crossing one shared staging queue and the per-node prefetch gates).
+  # live_telemetry_test: the scrape endpoint thread against session
+  #   teardown — the shutdown-ordering bugs TSan sees.
+  # gpu_timeline_test: device interval emission (ring writes from under the
+  #   device mutex) and the snapshot-side reconstruction.
+  # pipeline_test / fault_tolerance_test: the shared staging queue closing
+  #   while fetch threads may still push, and attempts crashing
+  #   mid-prefetch — the queue teardown and staged-state release paths.
+  tsan_suites=(stress_concurrency_test live_telemetry_test gpu_timeline_test
+               pipeline_test fault_tolerance_test)
   cmake -B build-tsan -S . -DDISTME_SANITIZE=thread >/dev/null
-  cmake --build build-tsan -j "$(nproc)" \
-    --target stress_concurrency_test --target live_telemetry_test \
-    --target gpu_timeline_test --target pipeline_test \
-    --target fault_tolerance_test
-  # Includes PipelinedMultiplyHammer: 8-slot prefetch pipelines (fetch
-  # threads and compute workers crossing one shared staging queue and the
-  # per-node prefetch gates) racing a 1 ms sampler and watchdog — the TSan
-  # regression test for the RealExecutor fetch-to-worker handoff.
-  TSAN_OPTIONS="suppressions=$PWD/scripts/sanitizers/tsan.supp:halt_on_error=1:second_deadlock_stack=1" \
-    ./build-tsan/tests/stress_concurrency_test
-  # The live-telemetry suite races the sampler/watchdog/endpoint threads
-  # against session teardown — exactly the shutdown-ordering bugs TSan sees.
-  TSAN_OPTIONS="suppressions=$PWD/scripts/sanitizers/tsan.supp:halt_on_error=1:second_deadlock_stack=1" \
-    ./build-tsan/tests/live_telemetry_test
-  # The GPU-timeline suite drives device interval emission (ring writes
-  # from under the device mutex) and the snapshot-side reconstruction.
-  TSAN_OPTIONS="suppressions=$PWD/scripts/sanitizers/tsan.supp:halt_on_error=1:second_deadlock_stack=1" \
-    ./build-tsan/tests/gpu_timeline_test
-  # The pipeline suite closes the shared staging queue while fetch threads
-  # may still be pushing, and the fault-tolerance suite crashes attempts
-  # mid-prefetch — the queue teardown and staged-state release paths.
-  TSAN_OPTIONS="suppressions=$PWD/scripts/sanitizers/tsan.supp:halt_on_error=1:second_deadlock_stack=1" \
-    ./build-tsan/tests/pipeline_test
-  TSAN_OPTIONS="suppressions=$PWD/scripts/sanitizers/tsan.supp:halt_on_error=1:second_deadlock_stack=1" \
-    ./build-tsan/tests/fault_tolerance_test
+  cmake --build build-tsan -j "$(nproc)" --target "${tsan_suites[@]}"
+  for suite in "${tsan_suites[@]}"; do
+    TSAN_OPTIONS="suppressions=$PWD/scripts/sanitizers/tsan.supp:halt_on_error=1:second_deadlock_stack=1" \
+      "./build-tsan/tests/$suite"
+  done
 fi
 
 echo

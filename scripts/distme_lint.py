@@ -80,7 +80,7 @@ import sys
 # the TSan stress suite exercises every lock in the system.
 CONCURRENCY_ALLOW = (
     "src/engine/",            # RealExecutor task slots, DistributedMatrix stores
-    "src/obs/",               # MetricsRegistry, FlightRecorder, Sampler, Watchdog
+    "src/obs/",               # MetricsRegistry, FlightRecorder, HttpEndpoint
     "src/gpu/",               # software-GPU stream/event simulation
     "src/common/logging.cc",  # the per-line stderr write lock
     "tests/",                 # tests may spawn threads freely
@@ -607,7 +607,7 @@ FLIGHT_NAMES = re.compile(
 
 
 def snake_case(enumerator):
-    """kMemHighWater -> mem_high_water (strips the leading k)."""
+    """kTaskRetry -> task_retry (strips the leading k)."""
     body = enumerator[1:] if enumerator.startswith("k") else enumerator
     return re.sub(r"(?<!^)([A-Z])", r"_\1", body).lower()
 

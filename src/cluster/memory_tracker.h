@@ -7,7 +7,6 @@
 #include <string>
 
 #include "common/status.h"
-#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 
 namespace distme {
@@ -38,16 +37,6 @@ class MemoryTracker {
     oom_counter_ = oom_rejections;
   }
 
-  /// \brief Mirrors memory high-water marks into a flight recorder: one
-  /// event at the first allocation, then one each time the tracker's peak
-  /// doubles (bounded event volume — log2(budget) events per task at
-  /// worst). `flight` may be null.
-  void AttachFlight(obs::FlightRecorder* flight, int node, int slot) {
-    flight_ = flight;
-    node_ = node;
-    slot_ = slot;
-  }
-
   /// \brief Reserves `bytes`; fails with OutOfMemory if over budget.
   [[nodiscard]] Status Allocate(int64_t bytes) {
     if (used_ + bytes > budget_) {
@@ -61,12 +50,6 @@ class MemoryTracker {
     peak_ = std::max(peak_, used_);
     if (used_gauge_ != nullptr) used_gauge_->Add(bytes);
     if (peak_gauge_ != nullptr) peak_gauge_->SetMax(peak_);
-    if (flight_ != nullptr && peak_ >= next_flight_peak_) {
-      flight_->Record(obs::FlightEventType::kMemHighWater, node_, slot_,
-                      peak_, budget_);
-      // Next event at the doubling of the current peak.
-      next_flight_peak_ = std::max<int64_t>(peak_ * 2, 1);
-    }
     return Status::OK();
   }
 
@@ -90,10 +73,6 @@ class MemoryTracker {
   obs::Gauge* used_gauge_ = nullptr;
   obs::Gauge* peak_gauge_ = nullptr;
   obs::Counter* oom_counter_ = nullptr;
-  obs::FlightRecorder* flight_ = nullptr;
-  int node_ = -1;
-  int slot_ = -1;
-  int64_t next_flight_peak_ = 1;
 };
 
 }  // namespace distme

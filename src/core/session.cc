@@ -11,6 +11,29 @@
 
 namespace distme::core {
 
+namespace {
+
+// The `distme.gpu.*` overlap gauges of one GPU run, from the analysis its
+// explain report carries, so /metrics, /explain and /gpu agree.
+void SetGpuOverlapGauges(const obs::GpuTimelineAnalysis& gpu,
+                         obs::MetricsRegistry* metrics) {
+  const obs::OverlapReport& run = gpu.run;
+  metrics->GetGauge("distme.gpu.window_us")->Set(run.window_us());
+  metrics->GetGauge("distme.gpu.h2d_busy_us")->Set(run.h2d_busy_us);
+  metrics->GetGauge("distme.gpu.d2h_busy_us")->Set(run.d2h_busy_us);
+  metrics->GetGauge("distme.gpu.kernel_busy_us")->Set(run.kernel_busy_us);
+  metrics->GetGauge("distme.gpu.overlapped_us")->Set(run.overlapped_us);
+  metrics->GetGauge("distme.gpu.bubble_us")->Set(run.bubble_us);
+  metrics->GetGauge("distme.gpu.overlap_permille")
+      ->Set(static_cast<int64_t>(run.overlap_ratio() * 1000.0));
+  metrics->GetGauge("distme.gpu.effective_pcie_bytes_per_sec")
+      ->Set(static_cast<int64_t>(run.effective_pcie_bytes_per_sec()));
+  metrics->GetGauge("distme.gpu.occupancy_high_water_bytes")
+      ->Set(gpu.occupancy_high_water_bytes);
+}
+
+}  // namespace
+
 Session::Session(Options options)
     : options_(std::move(options)),
       flight_(options_.flight_recorder_capacity) {
@@ -21,22 +44,6 @@ Session::Session(Options options)
   // A fatal Result/Status abort anywhere in the process dumps this ring to
   // stderr — the crash leaves a telemetry trail.
   flight_.InstallFatalDump();
-  if (options_.sample_period_ms > 0) {
-    obs::SamplerOptions sampler_options;
-    sampler_options.period_ms = options_.sample_period_ms;
-    sampler_options.max_samples = options_.sampler_retention;
-    sampler_ =
-        std::make_unique<obs::Sampler>(&metrics_, &comm_, sampler_options);
-    sampler_->Start();
-  }
-  if (options_.watchdog_period_ms > 0) {
-    obs::WatchdogOptions watchdog_options;
-    watchdog_options.period_ms = options_.watchdog_period_ms;
-    watchdog_options.threshold_factor = options_.watchdog_threshold;
-    watchdog_ = std::make_unique<obs::Watchdog>(&metrics_, &flight_,
-                                                watchdog_options);
-    watchdog_->Start();
-  }
   if (options_.http_port >= 0) {
     endpoint_ = std::make_unique<obs::HttpEndpoint>(
         [this](const std::string& path) {
@@ -91,12 +98,9 @@ Session::Session(Options options)
 
 Session::~Session() {
   // Shutdown ordering: the endpoint's handler reads the registry and the
-  // flight ring, and the watchdog/sampler threads read the registry — stop
-  // all consumer threads before any observed state goes away, then detach
-  // the fatal-dump hook (it must not fire against a dead ring).
+  // flight ring — stop its thread before any observed state goes away, then
+  // detach the fatal-dump hook (it must not fire against a dead ring).
   if (endpoint_ != nullptr) endpoint_->Stop();
-  if (watchdog_ != nullptr) watchdog_->Stop();
-  if (sampler_ != nullptr) sampler_->Stop();
   flight_.UninstallFatalDump();
 }
 
@@ -142,7 +146,6 @@ Result<Matrix> Session::MultiplyWith(const Matrix& a, const Matrix& b,
   real.metrics = &metrics_;
   real.comm = &comm_;
   real.flight = &flight_;
-  real.watchdog = watchdog_.get();
   real.flight_dump_path = options_.flight_dump_path;
   // Explain bracketing: snapshot before the run so the report can attribute
   // to this run only its delta of the session-cumulative instruments.
@@ -180,6 +183,10 @@ Result<Matrix> Session::MultiplyWith(const Matrix& a, const Matrix& b,
         run.report, method, problem, options_.cluster, inputs);
     if (explain.ok()) {
       last_explain_ = std::move(*explain);
+      if (run.report.outcome.ok() &&
+          run.report.mode != engine::ComputeMode::kCpu) {
+        SetGpuOverlapGauges(last_explain_->gpu, &metrics_);
+      }
       auto json =
           std::make_shared<const std::string>(last_explain_->ToJson());
       if (!options_.analysis_json_path.empty()) {

@@ -26,8 +26,6 @@
 #include "obs/flight_recorder.h"
 #include "obs/http_endpoint.h"
 #include "obs/metrics.h"
-#include "obs/sampler.h"
-#include "obs/watchdog.h"
 
 namespace distme::core {
 
@@ -67,8 +65,10 @@ class Session {
     std::shared_ptr<Planner> planner;
     engine::RealOptions real;
     /// Build an ExplainReport (predicted vs measured, straggler stats) for
-    /// every multiplication. Costs two registry snapshots per run; turn off
-    /// for overhead-sensitive micro-benchmarks.
+    /// every multiplication, and set the `distme.gpu.*` overlap gauges of a
+    /// GPU run from its analysis. Costs two registry snapshots and one pass
+    /// over the run's flight events per run; turn off for
+    /// overhead-sensitive micro-benchmarks.
     bool collect_explain = true;
     /// Flight-recorder ring capacity (events). Always on — recording is a
     /// few relaxed atomics per event — and the ring doubles as the crash
@@ -84,18 +84,9 @@ class Session {
     /// (re)writes the last run's explain report — including the
     /// critical-path / bottleneck analysis — as JSON to this path.
     std::string analysis_json_path;
-    /// Background sampler period; 0 (the default) disables the sampler.
-    int64_t sample_period_ms = 0;
-    /// Sampler retention: most-recent snapshots kept in memory.
-    size_t sampler_retention = 600;
     /// HTTP scrape endpoint port on 127.0.0.1: -1 (the default) disables
     /// it, 0 binds an ephemeral port (read it back via http_port()).
     int http_port = -1;
-    /// Straggler-watchdog scan period; 0 (the default) disables it.
-    int64_t watchdog_period_ms = 0;
-    /// Watchdog threshold: flag tasks above this multiple of the stage
-    /// median task duration.
-    double watchdog_threshold = 4.0;
   };
 
   explicit Session(Options options);
@@ -187,14 +178,6 @@ class Session {
   obs::FlightRecorder& flight() { return flight_; }
   const obs::FlightRecorder& flight() const { return flight_; }
 
-  /// \brief The background sampler, or nullptr when
-  /// Options::sample_period_ms is 0.
-  obs::Sampler* sampler() { return sampler_.get(); }
-
-  /// \brief The straggler watchdog, or nullptr when
-  /// Options::watchdog_period_ms is 0.
-  obs::Watchdog* watchdog() { return watchdog_.get(); }
-
   /// \brief The bound scrape-endpoint port, or -1 when the endpoint is off
   /// (Options::http_port < 0, or the bind failed — see the startup log).
   int http_port() const {
@@ -204,7 +187,7 @@ class Session {
  private:
   // The Session API itself is single-threaded (one driver thread calls
   // Multiply/Collect/...); the members below are shared only with the
-  // telemetry threads, and each one that is states its mechanism.
+  // endpoint thread, and each one that is states its mechanism.
   Options options_ DISTME_UNSHARED("driver-thread only; set in ctor");
   std::unique_ptr<engine::RealExecutor> executor_
       DISTME_UNSHARED("driver-thread only");
@@ -223,15 +206,11 @@ class Session {
   // (and distme_analyze --gpu on a dump) report identical numbers. Null
   // before the first run that recorded device interval events.
   std::atomic<std::shared_ptr<const std::string>> last_gpu_json_;
-  // Telemetry subsystems, declared after the registries they observe so
-  // reverse-order destruction tears them down first; ~Session() also stops
-  // their threads explicitly (endpoint → watchdog → sampler).
+  // The endpoint is declared after the state it serves so reverse-order
+  // destruction tears it down first; ~Session() also stops its thread
+  // explicitly.
   obs::FlightRecorder flight_
       DISTME_LOCKFREE("internally synchronized (seqlock ring)");
-  std::unique_ptr<obs::Sampler> sampler_
-      DISTME_UNSHARED("pointer set in ctor; pointee internally synchronized");
-  std::unique_ptr<obs::Watchdog> watchdog_
-      DISTME_UNSHARED("pointer set in ctor; pointee internally synchronized");
   std::unique_ptr<obs::HttpEndpoint> endpoint_
       DISTME_UNSHARED("pointer set in ctor; pointee internally synchronized");
 };

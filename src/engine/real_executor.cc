@@ -20,7 +20,6 @@
 #include "gpu/device.h"
 #include "gpumm/streaming.h"
 #include "matrix/serialize.h"
-#include "obs/gpu_timeline.h"
 #include "obs/metrics.h"
 
 namespace distme::engine {
@@ -41,9 +40,10 @@ struct PendingEmit {
 
 // One attempt's fetched inputs. At depth k > 0 a fetch thread stages a
 // task's first attempt and the StagedTask moves through the shared
-// BoundedQueue, so exactly one thread owns it at any instant. A failed
-// fetch carries null `inputs` and `tracker` plus the error in
-// `fetch_status`; the attempt fails and the task retries.
+// BoundedQueue, so exactly one thread owns it at any instant. `tracker` is
+// set only when the run enforces the task memory budget. A failed fetch
+// carries null `inputs` and `tracker` plus the error in `fetch_status`; the
+// attempt fails and the task retries.
 struct StagedTask {
   int64_t index = -1;  // into the materialized task list
   std::unique_ptr<gpumm::StagedBlockSource> inputs;
@@ -197,10 +197,8 @@ class RealExecutor::Impl {
                        });
     }
     // Attach (or detach) the run's recorder to every device before any task
-    // touches one: schema-3 interval events carry the device's (node,
-    // ordinal) identity. `seq_before_run` lets the end-of-run overlap
-    // analysis cut the ring to exactly this run's events.
-    uint64_t seq_before_run = 0;
+    // touches one: interval events carry the device's (node, ordinal)
+    // identity.
     if (config_.has_gpu) {
       for (size_t n = 0; n < devices_.size(); ++n) {
         for (size_t d = 0; d < devices_[n].size(); ++d) {
@@ -210,7 +208,6 @@ class RealExecutor::Impl {
       }
     }
     if (flight != nullptr) {
-      seq_before_run = flight->TotalRecorded();
       flight->Record(obs::FlightEventType::kRunStart, /*node=*/-1,
                      /*slot=*/-1, static_cast<int64_t>(tasks.size()));
     }
@@ -259,11 +256,6 @@ class RealExecutor::Impl {
           options.comm->Record(obs::CommStage::kRepartition, m.NodeOf(idx),
                                node, wire);
         }
-        if (flight != nullptr) {
-          // node = destination (the fetching task), slot = source node.
-          flight->Record(obs::FlightEventType::kBlockFetch, node,
-                         m.NodeOf(idx), wire);
-        }
         if (options.serialize_transfers) {
           // Round-trip through the wire format, as a real shuffle would.
           serialize_roundtrips->Add(1);
@@ -276,23 +268,23 @@ class RealExecutor::Impl {
       return blk;
     };
 
-    // Fetches the inputs of one attempt of `task` into a fresh StagedTask
-    // whose tracker reports memory high-water marks on (node, `slot`). Box
-    // tasks fetch each distinct block once (communication sharing); strided
-    // tasks fetch per voxel. When `crash` and the fault point is
+    // Fetches the inputs of one attempt of `task` into a fresh StagedTask.
+    // Box tasks fetch each distinct block once (communication sharing);
+    // strided tasks fetch per voxel. When `crash` and the fault point is
     // kMidPrefetch, the injected crash strikes right after the first block
     // lands. A failed fetch releases its blocks and reservations before it
     // returns — the lineage contract at the pipeline boundary.
-    auto stage = [&](const mm::LocalTask& task, int slot, bool crash) {
+    auto stage = [&](const mm::LocalTask& task, bool crash) {
       const int node = static_cast<int>(task.id % config_.num_nodes);
       StagedTask staged;
       staged.inputs = std::make_unique<gpumm::StagedBlockSource>();
-      staged.tracker = std::make_unique<MemoryTracker>(
-          "task " + std::to_string(task.id), config_.task_memory_bytes);
-      staged.tracker->AttachMetrics(used_memory, peak_memory, oom_rejections);
-      staged.tracker->AttachFlight(flight, node, slot);
-      MemoryTracker* tracker_ptr =
-          options.enforce_task_memory ? staged.tracker.get() : nullptr;
+      if (options.enforce_task_memory) {
+        staged.tracker = std::make_unique<MemoryTracker>(
+            "task " + std::to_string(task.id), config_.task_memory_bytes);
+        staged.tracker->AttachMetrics(used_memory, peak_memory,
+                                      oom_rejections);
+      }
+      MemoryTracker* tracker_ptr = staged.tracker.get();
       gpumm::StagedBlockSource& inputs = *staged.inputs;
       Stopwatch fetch_clock;
       auto need_a = [&](int64_t i, int64_t k) -> Status {
@@ -348,11 +340,6 @@ class RealExecutor::Impl {
         if (options.comm != nullptr) {
           options.comm->Record(obs::CommStage::kAggregation, producer_node,
                                reducer_node, wire);
-        }
-        if (flight != nullptr) {
-          // node = producer, slot = reducer node receiving the partial.
-          flight->Record(obs::FlightEventType::kBlockEmit, producer_node,
-                         reducer_node, wire);
         }
         if (options.serialize_transfers) {
           serialize_roundtrips->Add(1);
@@ -488,14 +475,10 @@ class RealExecutor::Impl {
                            obs::FlightEventType::kTaskStart, node, slot,
                            task.id, attempt);
         }
-        const int wd_token =
-            options.watchdog != nullptr
-                ? options.watchdog->TaskStarted(task.id, node, slot)
-                : -1;
         Stopwatch attempt_clock;
         Stopwatch fetch_clock;
         StagedTask staged =
-            pipelined ? std::move(*prefetched) : stage(task, slot, crash);
+            pipelined ? std::move(*prefetched) : stage(task, crash);
         const double fetch_wait_seconds =
             pipelined ? pop_stall_seconds : fetch_clock.ElapsedSeconds();
         if (flight != nullptr) {
@@ -513,10 +496,8 @@ class RealExecutor::Impl {
         }
         std::vector<PendingEmit> outputs;
         if (st.ok()) {
-          MemoryTracker* tracker_ptr =
-              options.enforce_task_memory ? staged.tracker.get() : nullptr;
-          st = compute_task(task, node, slot, *staged.inputs, tracker_ptr,
-                            &outputs);
+          st = compute_task(task, node, slot, *staged.inputs,
+                            staged.tracker.get(), &outputs);
         }
         if (st.ok() && crash &&
             options.fault_point == FaultPoint::kBeforeCommit) {
@@ -538,9 +519,6 @@ class RealExecutor::Impl {
             (pipelined ? pop_stall_seconds : 0.0) +
             attempt_clock.ElapsedSeconds();
         task_seconds->Observe(attempt_seconds);
-        if (options.watchdog != nullptr) {
-          options.watchdog->TaskFinished(wd_token);
-        }
         if (flight != nullptr) {
           flight->Record(obs::FlightEventType::kTaskFinish, node, slot,
                          task.id,
@@ -592,7 +570,7 @@ class RealExecutor::Impl {
     std::vector<std::thread> fetchers;
     std::vector<std::thread> workers;
     for (int w = 0; pipelined_run && w < pool; ++w) {
-      fetchers.emplace_back([&, w]() {
+      fetchers.emplace_back([&]() {
         while (true) {
           const int64_t t = next_task.fetch_add(1, std::memory_order_relaxed);
           if (t >= static_cast<int64_t>(tasks.size())) break;
@@ -602,7 +580,7 @@ class RealExecutor::Impl {
           PrefetchGate& gate = *gates[static_cast<size_t>(node)];
           if (gate.WaitForHeadroom()) backpressure_waits->Add(1);
           StagedTask staged = stage(
-              task, w,
+              task,
               CrashDecision(task.id, /*attempt=*/0, options.task_failure_rate));
           staged.index = t;
           const int64_t charged = staged.staged_bytes;
@@ -794,33 +772,6 @@ class RealExecutor::Impl {
           ->Set(static_cast<int64_t>(pcie));
       metrics->GetGauge("distme.gpu.utilization_permille")
           ->Set(static_cast<int64_t>(result.report.gpu_utilization * 1000.0));
-      if (flight != nullptr) {
-        // Overlap gauges from the reconstructed device timelines. The ring
-        // may hold earlier runs (and the device virtual clock spans them),
-        // so cut to events recorded during this run by sequence number.
-        const std::vector<obs::FlightEvent> all_events = flight->Snapshot();
-        std::vector<obs::FlightEvent> run_events;
-        run_events.reserve(all_events.size());
-        for (const obs::FlightEvent& e : all_events) {
-          if (e.seq > seq_before_run) run_events.push_back(e);
-        }
-        const obs::GpuTimelineAnalysis gpu_analysis =
-            obs::AnalyzeGpuTimeline(run_events, config_.hw.pcie_bandwidth);
-        const obs::OverlapReport& run = gpu_analysis.run;
-        metrics->GetGauge("distme.gpu.window_us")->Set(run.window_us());
-        metrics->GetGauge("distme.gpu.h2d_busy_us")->Set(run.h2d_busy_us);
-        metrics->GetGauge("distme.gpu.d2h_busy_us")->Set(run.d2h_busy_us);
-        metrics->GetGauge("distme.gpu.kernel_busy_us")
-            ->Set(run.kernel_busy_us);
-        metrics->GetGauge("distme.gpu.overlapped_us")->Set(run.overlapped_us);
-        metrics->GetGauge("distme.gpu.bubble_us")->Set(run.bubble_us);
-        metrics->GetGauge("distme.gpu.overlap_permille")
-            ->Set(static_cast<int64_t>(run.overlap_ratio() * 1000.0));
-        metrics->GetGauge("distme.gpu.effective_pcie_bytes_per_sec")
-            ->Set(static_cast<int64_t>(run.effective_pcie_bytes_per_sec()));
-        metrics->GetGauge("distme.gpu.occupancy_high_water_bytes")
-            ->Set(gpu_analysis.occupancy_high_water_bytes);
-      }
     }
     if (flight != nullptr) {
       flight->Record(obs::FlightEventType::kRunFinish, /*node=*/-1,

@@ -18,7 +18,6 @@
 #include "obs/comm_matrix.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/watchdog.h"
 
 namespace distme::engine {
 
@@ -83,13 +82,10 @@ struct RealOptions {
   /// cross-node aggregation emit is recorded with its true (src, dst)
   /// endpoints. Null (the default) costs one branch per transfer.
   obs::CommMatrix* comm = nullptr;
-  /// Flight recorder: run/task lifecycle, shuffle transfers, GPU stream
-  /// activity, and memory high-water marks land in its ring. Null (the
-  /// default) costs one branch per would-be event.
+  /// Flight recorder: run/task lifecycle, stage barriers, wait edges and
+  /// GPU device intervals land in its ring. Null (the default) costs one
+  /// branch per would-be event.
   obs::FlightRecorder* flight = nullptr;
-  /// Straggler watchdog: each task attempt registers while in flight so the
-  /// watchdog's periodic scan can flag it against the stage median.
-  obs::Watchdog* watchdog = nullptr;
   /// When non-empty and the run fails, the flight-recorder ring is dumped
   /// (JSON) to this path — the post-mortem for an injected or real crash.
   std::string flight_dump_path;

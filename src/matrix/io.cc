@@ -49,6 +49,10 @@ Status WriteMatrixMarket(const BlockGrid& grid, const std::string& path) {
 
 Result<BlockGrid> ReadMatrixMarket(const std::string& path,
                                    int64_t block_size) {
+  if (block_size <= 0) {
+    return Status::Invalid("block size must be positive, got " +
+                           std::to_string(block_size));
+  }
   std::FILE* f = std::fopen(path.c_str(), "r");
   if (f == nullptr) return Status::IOError("cannot open for read: " + path);
 
@@ -92,6 +96,23 @@ Result<BlockGrid> ReadMatrixMarket(const std::string& path,
                     &nnz) != 3) {
       std::fclose(f);
       return Status::IOError("bad coordinate header");
+    }
+    // Every entry takes at least six bytes (a separator, then "r c v"), so
+    // a larger count is corrupt. Checked before the reserve below, so a
+    // hostile header cannot ask for more memory than the file could fill.
+    const long data_begin = std::ftell(f);
+    const bool sized = data_begin >= 0 && std::fseek(f, 0, SEEK_END) == 0;
+    const long data_end = sized ? std::ftell(f) : -1;
+    if (data_end < 0 || std::fseek(f, data_begin, SEEK_SET) != 0) {
+      std::fclose(f);
+      return Status::IOError("cannot size MatrixMarket file: " + path);
+    }
+    if (nnz < 0 || nnz > (data_end - data_begin) / 6) {
+      std::fclose(f);
+      return Status::Invalid("coordinate header claims " +
+                             std::to_string(nnz) + " entries in " +
+                             std::to_string(data_end - data_begin) +
+                             " bytes of data");
     }
   }
 

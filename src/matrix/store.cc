@@ -2,6 +2,7 @@
 
 #include <cstdio>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "matrix/serialize.h"
@@ -126,6 +127,21 @@ Result<BlockGrid> ReadBinaryMatrix(const std::string& path) {
       header.block_size <= 0) {
     return Status::IOError("corrupt header: " + path);
   }
+  // Counts and extents are checked against the file's size before anything
+  // is allocated, so a corrupt header or index entry cannot ask for more
+  // memory than the file could fill.
+  if (std::fseek(f, 0, SEEK_END) != 0) return Status::IOError("seek failed");
+  const int64_t file_size = std::ftell(f);
+  if (file_size < 0 || std::fseek(f, sizeof(Header), SEEK_SET) != 0) {
+    return Status::IOError("seek failed");
+  }
+  const int64_t index_room =
+      (file_size - static_cast<int64_t>(sizeof(Header))) /
+      static_cast<int64_t>(sizeof(IndexEntry));
+  if (header.num_blocks > index_room) {
+    return Status::IOError("index of " + std::to_string(header.num_blocks) +
+                           " blocks does not fit in the file: " + path);
+  }
 
   std::vector<IndexEntry> index(static_cast<size_t>(header.num_blocks));
   if (!index.empty() &&
@@ -136,7 +152,10 @@ Result<BlockGrid> ReadBinaryMatrix(const std::string& path) {
 
   BlockGrid grid(BlockedShape{header.rows, header.cols, header.block_size});
   for (const IndexEntry& entry : index) {
-    if (entry.length <= 0) return Status::IOError("corrupt index entry");
+    if (entry.offset < 0 || entry.length <= 0 ||
+        entry.length > file_size - entry.offset) {
+      return Status::IOError("corrupt index entry");
+    }
     if (std::fseek(f, static_cast<long>(entry.offset), SEEK_SET) != 0) {
       return Status::IOError("seek failed");
     }

@@ -24,10 +24,6 @@ constexpr const char* kFlightEventTypeNames[] = {
     "task_start",          // kTaskStart
     "task_finish",         // kTaskFinish
     "task_retry",          // kTaskRetry
-    "block_fetch",         // kBlockFetch
-    "block_emit",          // kBlockEmit
-    "mem_high_water",      // kMemHighWater
-    "watchdog_straggler",  // kWatchdogStraggler
     "dep_edge",            // kDepEdge
     "stage_begin",         // kStageBegin
     "stage_end",           // kStageEnd

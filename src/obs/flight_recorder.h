@@ -1,7 +1,7 @@
 // FlightRecorder: a lock-free, fixed-capacity ring buffer of structured
-// engine events — the "black box" of a run. Executors, the GPU streaming
-// path, and the memory tracker append events on the hot path (a handful of
-// relaxed atomic stores, no allocation, no locks); the ring keeps the most
+// engine events — the "black box" of a run. Executors and the GPU devices
+// append events on the hot path (a handful of relaxed atomic stores, no
+// allocation, no locks); the ring keeps the most
 // recent `capacity` events and can be dumped on demand (JSON), on a failed
 // run (RealExecutor's fault-injection path), or on a fatal abort
 // (Result<T>::value() on an error) without allocating.
@@ -45,10 +45,6 @@ enum class FlightEventType : uint8_t {
   kTaskFinish,         ///< task attempt ends, ok or not (a = task id,
                        ///< b = µs); a failed one precedes its kTaskRetry
   kTaskRetry,          ///< task attempt failed (a = task id, b = attempt)
-  kBlockFetch,         ///< remote block fetch (slot = src node, a = bytes)
-  kBlockEmit,          ///< cross-node aggregation emit (a = bytes)
-  kMemHighWater,       ///< task memory high-water doubled (a = peak bytes)
-  kWatchdogStraggler,  ///< watchdog flagged a straggler (a = id, b = age µs)
   kDepEdge,            ///< causal edge (a = task id, b = µs, detail = kind)
   kStageBegin,         ///< stage barrier opens (detail = stage name)
   kStageEnd,           ///< stage barrier closes (detail = stage name)
@@ -163,7 +159,7 @@ class FlightRecorder {
 
   /// \brief Wall-clock anchor: system_clock µs since the Unix epoch at
   /// construction (when the event clock read 0). Lets a dump be
-  /// correlated with sampler timestamps and with other dumps.
+  /// correlated with other dumps and with wall-clock logs.
   int64_t WallEpochMicros() const { return wall_epoch_us_; }
 
   /// \brief steady_clock µs (arbitrary epoch) at construction — the
@@ -174,7 +170,7 @@ class FlightRecorder {
   /// overwritten concurrently are skipped, never torn.
   std::vector<FlightEvent> Snapshot() const;
 
-  /// \brief JSON dump: {"schema":4, "wall_epoch_us":…, "steady_epoch_us":…,
+  /// \brief JSON dump: {"schema":5, "wall_epoch_us":…, "steady_epoch_us":…,
   /// "total_recorded":…, "capacity":…, "events":[…]}. ParseFlightDump()
   /// reads it back.
   std::string ToJson() const;
@@ -213,7 +209,7 @@ class FlightRecorder {
 };
 
 /// \brief The dump schema ToJson() writes and ParseFlightDump() reads.
-inline constexpr int64_t kFlightDumpSchema = 4;
+inline constexpr int64_t kFlightDumpSchema = 5;
 
 /// \brief Exclusive bound on every `ts_us`, `a` and `b` a dump may carry:
 /// ParseFlightDump() refuses a value outside [0, kFlightValueLimit). A ring

@@ -140,7 +140,7 @@ TEST(FlightDumpTest, HeaderCarriesWallClockAnchor) {
   FlightRecorder flight(64);
   flight.Record(Type::kRunStart, -1, -1, 0, 0, "real");
   const std::string json = flight.ToJson();
-  EXPECT_NE(json.find("\"schema\":4"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"schema\":5"), std::string::npos) << json;
   EXPECT_NE(json.find("\"wall_epoch_us\":"), std::string::npos);
   EXPECT_NE(json.find("\"steady_epoch_us\":"), std::string::npos);
   EXPECT_GT(flight.WallEpochMicros(), 0);

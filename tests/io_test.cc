@@ -131,5 +131,40 @@ TEST_F(IoTest, TruncatedDataFails) {
   std::remove(path.c_str());
 }
 
+TEST_F(IoTest, NonPositiveBlockSizeIsInvalid) {
+  const std::string path = TempPath("block_size.mtx");
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  std::fprintf(f, "%%%%MatrixMarket matrix coordinate real general\n"
+                  "3 3 1\n1 1 1.0\n");
+  std::fclose(f);
+  ASSERT_TRUE(ReadMatrixMarket(path, 2).ok());
+  for (const int64_t block_size : {0, -8}) {
+    const auto result = ReadMatrixMarket(path, block_size);
+    ASSERT_FALSE(result.ok()) << block_size;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  }
+  std::remove(path.c_str());
+}
+
+TEST_F(IoTest, EntryCountBeyondTheFileIsInvalid) {
+  // A negative count, or one no file of this size can hold, is refused
+  // before the triplet buffer is reserved.
+  const std::string path = TempPath("nnz.mtx");
+  auto read_with_count = [&path](const char* nnz) {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    std::fprintf(f, "%%%%MatrixMarket matrix coordinate real general\n"
+                    "3 3 %s\n1 1 1.0\n2 2 2\n", nnz);
+    std::fclose(f);
+    return ReadMatrixMarket(path, 2);
+  };
+  ASSERT_TRUE(read_with_count("2").ok());
+  for (const char* nnz : {"-1", "4611686018427387904"}) {
+    const auto result = read_with_count(nnz);
+    ASSERT_FALSE(result.ok()) << nnz;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << nnz;
+  }
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace distme

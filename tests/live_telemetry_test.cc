@@ -1,9 +1,8 @@
 // Live-telemetry suite: flight-recorder ring semantics (wraparound, fatal
 // dump, reading a dump back from real and hostile JSON), Prometheus text
-// rendering, the loopback HTTP scrape endpoint, the
-// background sampler's retention/monotonicity, and the straggler watchdog —
-// plus the end-to-end paths through Session (live scrape of a real run,
-// flight dump on an injected task failure).
+// rendering and the loopback HTTP scrape endpoint — plus the end-to-end
+// paths through Session (live scrape of a real run, the GPU gauges of a
+// GPU run, flight dump on an injected task failure).
 
 #include <gtest/gtest.h>
 
@@ -33,8 +32,6 @@
 #include "obs/http_endpoint.h"
 #include "obs/metrics.h"
 #include "obs/prom_export.h"
-#include "obs/sampler.h"
-#include "obs/watchdog.h"
 
 namespace distme {
 namespace {
@@ -76,7 +73,7 @@ TEST(FlightRecorderTest, RingWrapsKeepingTheMostRecentEvents) {
   constexpr uint64_t kTotal = 200;
   obs::FlightRecorder flight(64);
   for (uint64_t i = 0; i < kTotal; ++i) {
-    flight.Record(obs::FlightEventType::kBlockFetch, 0, 0,
+    flight.Record(obs::FlightEventType::kTaskStart, 0, 0,
                   static_cast<int64_t>(i));
   }
   EXPECT_EQ(flight.TotalRecorded(), kTotal);
@@ -93,9 +90,8 @@ TEST(FlightRecorderTest, RingWrapsKeepingTheMostRecentEvents) {
 TEST(FlightRecorderTest, EventTypeNamesCoverTheEnum) {
   EXPECT_STREQ(obs::FlightEventTypeName(obs::FlightEventType::kRunStart),
                "run_start");
-  EXPECT_STREQ(
-      obs::FlightEventTypeName(obs::FlightEventType::kWatchdogStraggler),
-      "watchdog_straggler");
+  EXPECT_STREQ(obs::FlightEventTypeName(obs::FlightEventType::kGpuAlloc),
+               "gpu_alloc");
   EXPECT_STREQ(obs::FlightEventTypeName(obs::FlightEventType::kNumTypes),
                "unknown");
 }
@@ -111,10 +107,10 @@ TEST(FlightRecorderTest, ToJsonCarriesEventsAndDetail) {
 
 // --- Flight-dump reader -----------------------------------------------------
 
-// A real multi-run ring: three multiplies with injected faults overflow a
-// 64-slot ring, then two hand-recorded events add a free-form detail and
-// one that survives only if the writer escapes it and the reader
-// unescapes it.
+// A real multi-run ring: five multiplies with injected faults (14 events
+// each) overflow a 64-slot ring, then two hand-recorded events add a
+// free-form detail and one that survives only if the writer escapes it and
+// the reader unescapes it.
 struct RingDump {
   std::vector<obs::FlightEvent> events;
   std::string json;
@@ -128,7 +124,7 @@ RingDump MultiRunRing() {
   options.real.task_failure_rate = 0.3;
   options.real.max_task_attempts = 100;
   core::Session session(options);
-  for (uint64_t seed = 1; seed <= 3; ++seed) {
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
     GeneratorOptions g;
     g.rows = g.cols = 16;
     g.block_size = 8;
@@ -162,7 +158,7 @@ TEST(FlightRecorderTest, ParseFlightDumpRoundTripsARealMultiRunRing) {
   EXPECT_EQ(dump.schema, obs::kFlightDumpSchema);
   EXPECT_EQ(dump.total_recorded, ring.total_recorded);
   EXPECT_EQ(dump.capacity, 64u);
-  EXPECT_GT(dump.dropped(), 0u) << "three runs should wrap the ring";
+  EXPECT_GT(dump.dropped(), 0u) << "five runs should wrap the ring";
   ASSERT_EQ(dump.events.size(), ring.events.size());
   int run_finishes = 0;
   for (size_t i = 0; i < dump.events.size(); ++i) {
@@ -230,11 +226,15 @@ TEST(FlightRecorderTest, ParseFlightDumpRejectsHostileInput) {
   const std::string event =
       R"({"seq":1,"ts_us":5,"type":"task_finish","node":0,"slot":1,"a":2,)"
       R"("b":4611686018427387903})";
+  auto with_schema = [](int64_t schema) {
+    return R"({"schema":)" + std::to_string(schema);
+  };
+  const std::string schema = with_schema(obs::kFlightDumpSchema);
   // `event` with `from` replaced by `to`, as the one event of a dump.
-  auto dump_with = [&event](const std::string& from, const std::string& to) {
+  auto dump_with = [&](const std::string& from, const std::string& to) {
     std::string e = event;
     if (!from.empty()) e.replace(e.find(from), from.size(), to);
-    return R"({"schema":4,"total_recorded":1,"capacity":64,"events":[)" + e +
+    return schema + R"(,"total_recorded":1,"capacity":64,"events":[)" + e +
            "]}";
   };
   const Result<obs::FlightDump> valid = ParseCopy(dump_with("", ""));
@@ -256,18 +256,26 @@ TEST(FlightRecorderTest, ParseFlightDumpRejectsHostileInput) {
        }) {
     EXPECT_FALSE(ParseCopy(dump_with(from, to)).ok()) << to;
   }
-  EXPECT_FALSE(ParseCopy(R"({"schema":4,"total_recorded":0,"capacity":64})")
-                   .ok());
-  // Only this build's schema is read: schema 3 rings held gpu_submit and
-  // gpu_complete, which schema 4 dropped.
-  EXPECT_FALSE(ParseCopy(R"({"schema":3,"events":[]})").ok());
-  EXPECT_FALSE(ParseCopy(R"({"schema":5,"events":[]})").ok());
-  EXPECT_FALSE(ParseCopy(R"({"schema":4,"events":[],"extra":0})").ok());
+  EXPECT_FALSE(
+      ParseCopy(schema + R"(,"total_recorded":0,"capacity":64})").ok());
+  // Only this build's schema is read, and the refusal names the schema to
+  // re-dump with.
+  const Result<obs::FlightDump> older =
+      ParseCopy(with_schema(obs::kFlightDumpSchema - 1) + R"(,"events":[]})");
+  ASSERT_FALSE(older.ok());
+  EXPECT_NE(older.status().message().find(
+                "reads schema " + std::to_string(obs::kFlightDumpSchema)),
+            std::string::npos)
+      << older.status().ToString();
+  EXPECT_FALSE(
+      ParseCopy(with_schema(obs::kFlightDumpSchema + 1) + R"(,"events":[]})")
+          .ok());
+  EXPECT_FALSE(ParseCopy(schema + R"(,"events":[],"extra":0})").ok());
   // Deep nesting, where a value, an event and an event field belong.
   const std::string deep(100000, '[');
   EXPECT_FALSE(ParseCopy(R"({"schema":)" + deep).ok());
-  EXPECT_FALSE(ParseCopy(R"({"schema":4,"events":)" + deep).ok());
-  EXPECT_FALSE(ParseCopy(R"({"schema":4,"events":[{"a":)" + deep).ok());
+  EXPECT_FALSE(ParseCopy(schema + R"(,"events":)" + deep).ok());
+  EXPECT_FALSE(ParseCopy(schema + R"(,"events":[{"a":)" + deep).ok());
 }
 
 TEST(FlightRecorderTest, ParsedDumpAtTheValueBoundAnalyzesWithoutOverflow) {
@@ -305,12 +313,12 @@ TEST(FlightRecorderTest, ParsedDumpAtTheValueBoundAnalyzesWithoutOverflow) {
 TEST(FlightRecorderTest, DumpToFileWritesJson) {
   const std::string path = testing::TempDir() + "/flight_ring.json";
   obs::FlightRecorder flight(64);
-  flight.Record(obs::FlightEventType::kMemHighWater, 0, 2, 1024, 4096);
+  flight.Record(obs::FlightEventType::kTaskRetry, 0, 2, 7, 1);
   ASSERT_TRUE(flight.DumpToFile(path).ok());
   std::ifstream in(path);
   std::stringstream contents;
   contents << in.rdbuf();
-  EXPECT_NE(contents.str().find("\"mem_high_water\""), std::string::npos);
+  EXPECT_NE(contents.str().find("\"task_retry\""), std::string::npos);
 }
 
 // value()/ValueOrDie() on an error Result aborts; with an installed fatal
@@ -555,126 +563,6 @@ TEST(HttpEndpointTest, SurvivesClientDisconnectMidResponse) {
   endpoint.Stop();
 }
 
-// --- Sampler ----------------------------------------------------------------
-
-TEST(SamplerTest, RetentionBoundsTheSeriesAndTimestampsIncrease) {
-  obs::MetricsRegistry registry;
-  obs::Counter* counter = registry.GetCounter("distme.test.ticks");
-  obs::Sampler sampler(&registry, nullptr,
-                       {.period_ms = 1, .max_samples = 5});
-  for (int i = 0; i < 8; ++i) {
-    counter->Add(1);
-    sampler.SampleOnce();
-  }
-  EXPECT_EQ(sampler.total_samples(), 8);
-  const std::vector<obs::Sample> samples = sampler.Samples();
-  ASSERT_EQ(samples.size(), 5u);  // retention dropped the oldest three
-  for (size_t i = 1; i < samples.size(); ++i) {
-    EXPECT_LT(samples[i - 1].ts_us, samples[i].ts_us);  // strictly monotonic
-  }
-  // The newest sample sees the final counter value; the oldest retained one
-  // was taken at tick 4.
-  const obs::MetricPoint* last = samples.back().metrics.Find("distme.test.ticks");
-  ASSERT_NE(last, nullptr);
-  EXPECT_EQ(last->value, 8);
-}
-
-TEST(SamplerTest, BackgroundThreadSamplesAndStops) {
-  obs::MetricsRegistry registry;
-  obs::Sampler sampler(&registry, nullptr,
-                       {.period_ms = 1, .max_samples = 1000});
-  sampler.Start();
-  EXPECT_TRUE(sampler.running());
-  std::this_thread::sleep_for(std::chrono::milliseconds(30));
-  sampler.Stop();
-  EXPECT_FALSE(sampler.running());
-  EXPECT_GT(sampler.total_samples(), 0);
-  const std::vector<obs::Sample> samples = sampler.Samples();
-  for (size_t i = 1; i < samples.size(); ++i) {
-    EXPECT_LT(samples[i - 1].ts_us, samples[i].ts_us);
-  }
-}
-
-TEST(SamplerTest, CapturesCommMatrixSummary) {
-  obs::MetricsRegistry registry;
-  obs::CommMatrix comm;
-  comm.Record(obs::CommStage::kRepartition, 0, 1, 100);
-  comm.Record(obs::CommStage::kAggregation, 1, 0, 50);
-  obs::Sampler sampler(&registry, &comm);
-  sampler.SampleOnce();
-  const std::vector<obs::Sample> samples = sampler.Samples();
-  ASSERT_EQ(samples.size(), 1u);
-  EXPECT_EQ(samples[0].comm_total_bytes, 150);
-  EXPECT_EQ(samples[0].comm_max_link_bytes, 100);
-}
-
-// --- Watchdog ---------------------------------------------------------------
-
-int64_t SteadyNowMicrosForTest() {
-  return std::chrono::duration_cast<std::chrono::microseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-TEST(WatchdogTest, FlagsRiggedStragglerExactlyOnce) {
-  obs::MetricsRegistry registry;
-  obs::FlightRecorder flight(64);
-  // Stage history: tasks take ~10 ms, so the 4x threshold sits near 40 ms.
-  obs::Histogram* hist = registry.GetHistogram("distme.task.seconds");
-  for (int i = 0; i < 8; ++i) hist->Observe(0.01);
-
-  obs::Watchdog watchdog(&registry, &flight,
-                         {.threshold_factor = 4.0, .min_task_us = 1000});
-  const int token = watchdog.TaskStarted(/*task_id=*/7, /*node=*/2,
-                                         /*slot=*/1);
-  ASSERT_GE(token, 0);
-  EXPECT_EQ(watchdog.active_tasks(), 1);
-
-  // Pretend ten seconds passed: far beyond 4x the ~10 ms median.
-  const int64_t later = SteadyNowMicrosForTest() + 10'000'000;
-  EXPECT_EQ(watchdog.ScanNow(later), 1);
-  EXPECT_EQ(watchdog.ScanNow(later), 0);  // flag-once per attempt
-  EXPECT_EQ(watchdog.stragglers_flagged(), 1);
-  EXPECT_EQ(
-      registry.Snapshot().TotalValue("distme.watchdog.stragglers"), 1);
-
-  // The straggler landed in the flight ring with its task id and node.
-  bool found = false;
-  for (const obs::FlightEvent& e : flight.Snapshot()) {
-    if (e.type == obs::FlightEventType::kWatchdogStraggler) {
-      EXPECT_EQ(e.a, 7);
-      EXPECT_EQ(e.node, 2);
-      EXPECT_EQ(e.slot, 1);
-      found = true;
-    }
-  }
-  EXPECT_TRUE(found);
-
-  watchdog.TaskFinished(token);
-  EXPECT_EQ(watchdog.active_tasks(), 0);
-}
-
-TEST(WatchdogTest, NoFlagsWithoutTaskHistory) {
-  obs::MetricsRegistry registry;
-  obs::Watchdog watchdog(&registry, nullptr, {.min_task_us = 0});
-  const int token = watchdog.TaskStarted(1, 0, 0);
-  ASSERT_GE(token, 0);
-  // No completed task -> no median -> nothing to flag, however old the task.
-  EXPECT_EQ(watchdog.ScanNow(SteadyNowMicrosForTest() + 60'000'000), 0);
-  EXPECT_EQ(watchdog.stragglers_flagged(), 0);
-  watchdog.TaskFinished(token);
-}
-
-TEST(WatchdogTest, FreshTasksAreNotFlagged) {
-  obs::MetricsRegistry registry;
-  registry.GetHistogram("distme.task.seconds")->Observe(0.01);
-  obs::Watchdog watchdog(&registry, nullptr, {});
-  const int token = watchdog.TaskStarted(3, 0, 0);
-  ASSERT_GE(token, 0);
-  EXPECT_EQ(watchdog.ScanOnce(), 0);  // just started: under min_task_us
-  watchdog.TaskFinished(token);
-}
-
 // --- Session end-to-end -----------------------------------------------------
 
 core::Session::Options TelemetrySessionOptions() {
@@ -698,7 +586,6 @@ GeneratorOptions Gen(int64_t rows, int64_t cols, uint64_t seed) {
 TEST(SessionTelemetryTest, LiveScrapeServesPrometheusTextDuringARun) {
   core::Session::Options options = TelemetrySessionOptions();
   options.http_port = 0;  // ephemeral
-  options.sample_period_ms = 1;
   {
     core::Session session(options);
     ASSERT_GT(session.http_port(), 0);
@@ -723,10 +610,6 @@ TEST(SessionTelemetryTest, LiveScrapeServesPrometheusTextDuringARun) {
 
     const std::string missing = HttpRequest(session.http_port(), "/missing");
     EXPECT_NE(missing.find("404"), std::string::npos);
-
-    ASSERT_NE(session.sampler(), nullptr);
-    session.sampler()->SampleOnce();
-    EXPECT_GT(session.sampler()->total_samples(), 0);
   }
 }
 
@@ -782,6 +665,43 @@ TEST(SessionTelemetryTest, GpuRouteIs404UntilAGpuRunCompletes) {
   EXPECT_NE(after.find(explain->gpu.ToJson()), std::string::npos);
 }
 
+// The distme.gpu.* overlap gauges of a GPU run are set from the analysis
+// its explain report carries, so /metrics, /explain and /gpu agree. The
+// second multiply checks that the gauges follow the latest run while the
+// ring still holds the first.
+TEST(SessionTelemetryTest, GpuOverlapGaugesEqualTheExplainAnalysis) {
+  core::Session::Options options = TelemetrySessionOptions();
+  options.mode = engine::ComputeMode::kGpuStreaming;
+  core::Session session(options);
+  for (const int64_t inner : {24, 40}) {
+    auto a = session.Generate(Gen(32, inner, 51));
+    auto b = session.Generate(Gen(inner, 16, 52));
+    ASSERT_TRUE(a.ok() && b.ok());
+    ASSERT_TRUE(session.Multiply(*a, *b).ok());
+
+    auto explain = session.ExplainLastRun();
+    ASSERT_TRUE(explain.ok());
+    ASSERT_TRUE(explain->has_gpu);
+    const obs::OverlapReport& run = explain->gpu.run;
+    ASSERT_GT(run.window_us(), 0);
+    const obs::MetricsSnapshot metrics = session.metrics().Snapshot();
+    EXPECT_EQ(metrics.TotalValue("distme.gpu.window_us"), run.window_us());
+    EXPECT_EQ(metrics.TotalValue("distme.gpu.h2d_busy_us"), run.h2d_busy_us);
+    EXPECT_EQ(metrics.TotalValue("distme.gpu.d2h_busy_us"), run.d2h_busy_us);
+    EXPECT_EQ(metrics.TotalValue("distme.gpu.kernel_busy_us"),
+              run.kernel_busy_us);
+    EXPECT_EQ(metrics.TotalValue("distme.gpu.overlapped_us"),
+              run.overlapped_us);
+    EXPECT_EQ(metrics.TotalValue("distme.gpu.bubble_us"), run.bubble_us);
+    EXPECT_EQ(metrics.TotalValue("distme.gpu.overlap_permille"),
+              static_cast<int64_t>(run.overlap_ratio() * 1000.0));
+    EXPECT_EQ(metrics.TotalValue("distme.gpu.effective_pcie_bytes_per_sec"),
+              static_cast<int64_t>(run.effective_pcie_bytes_per_sec()));
+    EXPECT_EQ(metrics.TotalValue("distme.gpu.occupancy_high_water_bytes"),
+              explain->gpu.occupancy_high_water_bytes);
+  }
+}
+
 TEST(SessionTelemetryTest, InjectedFailureDumpsFlightRecorder) {
   const std::string dump_path =
       testing::TempDir() + "/flight_failure_dump.json";
@@ -813,21 +733,6 @@ TEST(SessionTelemetryTest, InjectedFailureDumpsFlightRecorder) {
     if (e.type == obs::FlightEventType::kTaskRetry) saw_retry = true;
   }
   EXPECT_TRUE(saw_retry);
-}
-
-TEST(SessionTelemetryTest, WatchdogWiresThroughSessionOptions) {
-  core::Session::Options options = TelemetrySessionOptions();
-  options.watchdog_period_ms = 1;
-  core::Session session(options);
-  ASSERT_NE(session.watchdog(), nullptr);
-  EXPECT_TRUE(session.watchdog()->running());
-
-  auto a = session.Generate(Gen(32, 24, 41));
-  auto b = session.Generate(Gen(24, 16, 42));
-  ASSERT_TRUE(a.ok() && b.ok());
-  ASSERT_TRUE(session.Multiply(*a, *b).ok());
-  // All tasks finished; tracking drained and (fast run) nothing was flagged.
-  EXPECT_EQ(session.watchdog()->active_tasks(), 0);
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <utility>
+#include <vector>
 
 #include "matrix/generator.h"
 #include "matrix/store.h"
@@ -93,6 +95,54 @@ TEST(BinaryStoreTest, RejectsTruncatedFile) {
   std::fclose(f);
   ASSERT_EQ(truncate(path.c_str(), size / 2), 0);
   EXPECT_FALSE(ReadBinaryMatrix(path).ok());
+  std::remove(path.c_str());
+}
+
+// Rewrites the int64 at byte `offset` of the file at `path`.
+void PatchInt64(const std::string& path, long offset, int64_t value) {
+  std::FILE* f = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  EXPECT_EQ(std::fseek(f, offset, SEEK_SET), 0);
+  EXPECT_EQ(std::fwrite(&value, sizeof(value), 1, f), 1u);
+  std::fclose(f);
+}
+
+// File layout: a 48-byte header (magic, rows, cols, block size, block
+// count, nnz), then 32-byte index entries (i, j, offset, length).
+constexpr long kNumBlocksAt = 32;
+constexpr long kFirstOffsetAt = 48 + 16;
+constexpr long kFirstLengthAt = 48 + 24;
+
+TEST(BinaryStoreTest, RejectsBlockCountBeyondTheFile) {
+  // A bare header that claims 2^40 blocks: refused before an index of
+  // 2^40 entries is allocated.
+  const std::string path = TempPath("many_blocks.dmx");
+  ASSERT_TRUE(WriteBinaryMatrix(BlockGrid(BlockedShape{30, 30, 10}), path)
+                  .ok());
+  PatchInt64(path, kNumBlocksAt, int64_t{1} << 40);
+  EXPECT_FALSE(ReadBinaryMatrix(path).ok());
+  std::remove(path.c_str());
+}
+
+TEST(BinaryStoreTest, RejectsIndexEntryBeyondTheFile) {
+  // One block whose index entry reaches past the end of the file: refused
+  // before a payload buffer of that length is allocated.
+  GeneratorOptions g;
+  g.rows = g.cols = g.block_size = 10;
+  g.sparsity = 1.0;
+  const BlockGrid grid = GenerateUniform(g);
+  ASSERT_EQ(grid.num_blocks(), 1);
+  const std::string path = TempPath("long_entry.dmx");
+  for (const auto& [at, value] : std::vector<std::pair<long, int64_t>>{
+           {kFirstLengthAt, int64_t{1} << 50},
+           {kFirstOffsetAt, int64_t{1} << 62},
+           {kFirstOffsetAt, -1},
+       }) {
+    ASSERT_TRUE(WriteBinaryMatrix(grid, path).ok());
+    ASSERT_TRUE(ReadBinaryMatrix(path).ok());
+    PatchInt64(path, at, value);
+    EXPECT_FALSE(ReadBinaryMatrix(path).ok()) << at << " = " << value;
+  }
   std::remove(path.c_str());
 }
 

@@ -22,8 +22,6 @@
 #include "obs/comm_matrix.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
-#include "obs/sampler.h"
-#include "obs/watchdog.h"
 
 namespace distme {
 namespace {
@@ -38,6 +36,49 @@ void RunOnThreads(const std::function<void(int)>& fn) {
   for (int t = 0; t < kThreads; ++t) threads.emplace_back(fn, t);
   for (auto& th : threads) th.join();
 }
+
+/// One reader thread that snapshots a registry, a comm matrix and a flight
+/// ring in a loop until Stop() (at least once), so TSan sees the writers
+/// race concurrent reads of all three. Counters never read negative, and
+/// every flight snapshot comes out in sequence order and within the ring's
+/// capacity: the seqlock never surfaces a torn or reordered event.
+class SnapshotReader {
+ public:
+  SnapshotReader(const obs::MetricsRegistry& registry,
+                 const obs::CommMatrix& comm,
+                 const obs::FlightRecorder& flight)
+      : thread_([this, &registry, &comm, &flight] {
+          do {
+            for (const obs::MetricPoint& p : registry.Snapshot().points) {
+              if (p.kind == obs::MetricKind::kCounter) {
+                EXPECT_GE(p.value, 0);
+              }
+            }
+            EXPECT_GE(comm.Snapshot().TotalBytes(), 0);
+            const std::vector<obs::FlightEvent> events = flight.Snapshot();
+            for (size_t i = 1; i < events.size(); ++i) {
+              EXPECT_LT(events[i - 1].seq, events[i].seq);
+            }
+            EXPECT_LE(events.size(), flight.capacity());
+          } while (!stop_.load(std::memory_order_acquire));
+        }) {}
+
+  SnapshotReader(const SnapshotReader&) = delete;
+  SnapshotReader& operator=(const SnapshotReader&) = delete;
+
+  ~SnapshotReader() {
+    if (thread_.joinable()) Stop();
+  }
+
+  void Stop() {
+    stop_.store(true, std::memory_order_release);
+    thread_.join();
+  }
+
+ private:
+  std::atomic<bool> stop_{false};
+  std::thread thread_;
+};
 
 // --- MetricsRegistry --------------------------------------------------------
 
@@ -153,30 +194,16 @@ TEST(StressConcurrencyTest, LoggingHammer) {
   SetLogLevel(saved);
 }
 
-// --- FlightRecorder / Sampler -----------------------------------------------
+// --- FlightRecorder ---------------------------------------------------------
 
-// Writers hammer the lock-free event ring (forcing constant wraparound) while
-// one thread snapshots it and a 1 ms background sampler snapshots the registry
-// the writers also update. The seqlock must never surface a torn event:
-// snapshots stay sorted with unique sequence numbers, and the sampler's time
-// series stays strictly monotonic.
-TEST(StressConcurrencyTest, FlightRecorderAndSamplerHammer) {
+// Writers hammer the lock-free event ring (forcing constant wraparound), a
+// registry counter and the comm matrix while one reader thread snapshots
+// all three.
+TEST(StressConcurrencyTest, FlightRecorderReaderHammer) {
   obs::MetricsRegistry registry;
   obs::CommMatrix comm;
   obs::FlightRecorder flight(256);
-  obs::Sampler sampler(&registry, &comm, {.period_ms = 1, .max_samples = 64});
-  sampler.Start();
-  std::atomic<bool> stop{false};
-
-  std::thread snapshotter([&] {
-    while (!stop.load(std::memory_order_acquire)) {
-      const std::vector<obs::FlightEvent> events = flight.Snapshot();
-      for (size_t i = 1; i < events.size(); ++i) {
-        EXPECT_LT(events[i - 1].seq, events[i].seq);
-      }
-      EXPECT_LE(events.size(), flight.capacity());
-    }
-  });
+  SnapshotReader reader(registry, comm, flight);
 
   RunOnThreads([&](int t) {
     obs::Counter* counter = registry.GetCounter("stress.flight.events");
@@ -184,19 +211,15 @@ TEST(StressConcurrencyTest, FlightRecorderAndSamplerHammer) {
       flight.Record(obs::FlightEventType::kTaskStart, t, i % 4, i, t,
                     "stress");
       counter->Add(1);
+      comm.Record(obs::CommStage::kRepartition, t % 4, i % 4, 8);
     }
   });
-  stop.store(true, std::memory_order_release);
-  snapshotter.join();
-  sampler.Stop();
+  reader.Stop();
 
   EXPECT_EQ(flight.TotalRecorded(),
             uint64_t{kThreads} * static_cast<uint64_t>(kItersPerThread));
-  const std::vector<obs::Sample> samples = sampler.Samples();
-  EXPECT_GT(sampler.total_samples(), 0);
-  for (size_t i = 1; i < samples.size(); ++i) {
-    EXPECT_LT(samples[i - 1].ts_us, samples[i].ts_us);
-  }
+  EXPECT_EQ(registry.Snapshot().TotalValue("stress.flight.events"),
+            int64_t{kThreads} * kItersPerThread);
 }
 
 // --- GpuDevice --------------------------------------------------------------
@@ -255,9 +278,9 @@ TEST(StressConcurrencyTest, GpuDeviceStatsReaderHammer) {
 // Whole-engine stress: several sessions run real multiplies concurrently,
 // each spinning up its own RealExecutor task slots, per-node stores, metrics
 // registry, flight ring, and comm matrix, and each exports its ring as a
-// Chrome trace after every multiply while its watchdog still scans the ring.
-// Catches races between executor internals, the trace export, and the
-// shared process state (logging ids, etc.).
+// Chrome trace after every multiply while its own reader thread snapshots
+// all three. Catches races between executor internals, the trace export,
+// concurrent readers, and the shared process state (logging ids, etc.).
 TEST(StressConcurrencyTest, MultiSessionMultiplyHammer) {
   constexpr int kSessions = 8;
   std::vector<std::thread> threads;
@@ -270,11 +293,9 @@ TEST(StressConcurrencyTest, MultiSessionMultiplyHammer) {
       options.cluster = ClusterConfig::Local(3, 2);
       options.planner = std::make_shared<core::DistmePlanner>(
           mm::OptimizerOptions{.enforce_parallelism = false});
-      // Full telemetry on: a 1 ms sampler and watchdog race the executor's
-      // metric updates and task slots in every session.
-      options.sample_period_ms = 1;
-      options.watchdog_period_ms = 1;
       core::Session session(options);
+      SnapshotReader reader(session.metrics(), session.comm(),
+                            session.flight());
       const std::string trace =
           testing::TempDir() + "/hammer_trace_" + std::to_string(s) + ".json";
 
@@ -304,14 +325,6 @@ TEST(StressConcurrencyTest, MultiSessionMultiplyHammer) {
         }
         DISTME_IGNORE_ERROR(session.Sum(*c));
       }
-      // The background series must be strictly monotonic even while the
-      // executor hammered the registry it samples.
-      if (session.sampler() != nullptr) {
-        const std::vector<obs::Sample> samples = session.sampler()->Samples();
-        for (size_t i = 1; i < samples.size(); ++i) {
-          if (samples[i - 1].ts_us >= samples[i].ts_us) failures.fetch_add(1);
-        }
-      }
     });
   }
   for (auto& th : threads) th.join();
@@ -322,27 +335,23 @@ TEST(StressConcurrencyTest, MultiSessionMultiplyHammer) {
 
 // Pipeline hammer: concurrent pipelined runs on an 8-slot cluster (4 nodes ×
 // 2 slots), prefetch depth 4 — so every run spins up 8 fetch + 8 compute
-// threads crossing its shared staging queue and prefetch gates — while a
-// 1 ms sampler snapshots the shared registry and a 1 ms watchdog scans the
-// flight ring the executor records into. Under TSan this is the regression
-// test for the fetch-to-worker handoff; functionally every pipelined
-// result must match the depth-0 bits.
+// threads crossing its shared staging queue and prefetch gates — while one
+// reader thread snapshots the shared registry, comm matrix and flight ring
+// the executors record into. Under TSan this is the regression test for
+// the fetch-to-worker handoff; functionally every pipelined result must
+// match the depth-0 bits.
 TEST(StressConcurrencyTest, PipelinedMultiplyHammer) {
   constexpr int kRunners = 4;
   obs::MetricsRegistry registry;
   obs::CommMatrix comm;
   obs::FlightRecorder flight(4096);
-  obs::Sampler sampler(&registry, &comm, {.period_ms = 1, .max_samples = 64});
-  obs::Watchdog watchdog(&registry, &flight, {.period_ms = 1});
-  sampler.Start();
-  watchdog.Start();
+  SnapshotReader reader(registry, comm, flight);
 
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
   threads.reserve(kRunners);
   for (int r = 0; r < kRunners; ++r) {
-    threads.emplace_back([r, &registry, &comm, &flight, &watchdog,
-                          &failures] {
+    threads.emplace_back([r, &registry, &comm, &flight, &failures] {
       GeneratorOptions ga;
       ga.rows = 48;
       ga.cols = 32;
@@ -378,7 +387,6 @@ TEST(StressConcurrencyTest, PipelinedMultiplyHammer) {
         pipelined.metrics = &registry;
         pipelined.comm = &comm;
         pipelined.flight = &flight;
-        pipelined.watchdog = &watchdog;
         auto run = executor.Run(a, b, method, pipelined);
         if (!run.ok() || !run->report.outcome.ok()) {
           failures.fetch_add(1);
@@ -394,17 +402,8 @@ TEST(StressConcurrencyTest, PipelinedMultiplyHammer) {
     });
   }
   for (auto& th : threads) th.join();
-  watchdog.Stop();
-  sampler.Stop();
+  reader.Stop();
   EXPECT_EQ(failures.load(), 0);
-
-  // The sampler's series must stay strictly monotonic despite the executor
-  // hammering the registry it samples.
-  const std::vector<obs::Sample> samples = sampler.Samples();
-  EXPECT_GT(sampler.total_samples(), 0);
-  for (size_t i = 1; i < samples.size(); ++i) {
-    EXPECT_LT(samples[i - 1].ts_us, samples[i].ts_us);
-  }
 }
 
 }  // namespace
