@@ -20,7 +20,6 @@
 #include "matrix/serialize.h"
 #include "mm/methods.h"
 #include "mm/optimizer.h"
-#include "obs/causal_graph.h"
 #include "obs/critical_path.h"
 #include "obs/flight_recorder.h"
 #include "obs/gpu_timeline.h"
@@ -209,11 +208,10 @@ Status BestOffOn(RunBatch& run_batch, int64_t iters, double* best_off,
 // analyzer is enabled. The workload is a real CPU multiply (384x384,
 // block 64, RMM on 3x2 slots) so the ratio
 // compares emission against genuine task work, not against the simulator's
-// microsecond-scale cost model. The snapshot + BuildCausalGraph +
-// AnalyzeCriticalPath pass runs once per explain, off the per-task hot
-// path, so it is validated after the timed region (the critical path must
-// tile the run's wall time) but not timed. The bench baseline gates the
-// recorded ratio at <= 1.03.
+// microsecond-scale cost model. The snapshot + AnalyzeRun pass runs once
+// per explain, off the per-task hot path, so it is validated after the
+// timed region (the critical path must tile the run's wall time) but not
+// timed. The bench baseline gates the recorded ratio at <= 1.03.
 int RunAnalyzerOverheadOnly(bench::BenchObs* obs) {
   const ClusterConfig cluster = ClusterConfig::Local(3, 2);
   GeneratorOptions ga;
@@ -276,8 +274,9 @@ int RunAnalyzerOverheadOnly(bench::BenchObs* obs) {
 
   // Sanity-check the analysis the timeline feeds: the last run in the ring
   // must yield a critical path that tiles its wall time.
-  const obs::CausalGraph graph = obs::BuildCausalGraph(flight.Snapshot());
-  const obs::CriticalPathAnalysis analysis = obs::AnalyzeCriticalPath(graph);
+  const obs::CriticalPathAnalysis analysis =
+      obs::AnalyzeRun(flight.Snapshot(), cluster.hw.pcie_bandwidth)
+          .critical_path;
   if (analysis.path_us <= 0 || analysis.path_us != analysis.wall_us) {
     std::fprintf(stderr,
                  "analyzer self-check failed: path %lld us vs wall %lld us\n",
@@ -346,9 +345,9 @@ int RunPipelineOverlapOnly(bench::BenchObs* obs, int prefetch_depth) {
     DISTME_ASSIGN_OR_RETURN(engine::RealRunResult result,
                             executor.Run(a, b, method, options));
     DISTME_RETURN_NOT_OK(result.report.outcome);
-    const obs::CausalGraph graph = obs::BuildCausalGraph(flight.Snapshot());
     const obs::CriticalPathAnalysis analysis =
-        obs::AnalyzeCriticalPath(graph);
+        obs::AnalyzeRun(flight.Snapshot(), cluster.hw.pcie_bandwidth)
+            .critical_path;
     if (analysis.path_us <= 0 || analysis.path_us != analysis.wall_us) {
       return Status::Internal("critical-path self-check failed");
     }
@@ -506,11 +505,15 @@ int RunGpuObsOverheadOnly(bench::BenchObs* obs) {
 }
 
 // Runs one real GPU-streaming multiplication with the flight ring wired and
-// dumps it to `path` — a deterministic dump carrying device interval
-// events bracketed by run_start/run_finish, for CI to smoke
-// distme_analyze --gpu / --timeline against.
+// dumps it to `path` — a dump carrying device interval events bracketed by
+// run_start/run_finish, for CI to smoke distme_analyze --gpu / --timeline
+// against. One task slot in total keeps it deterministic: the device then
+// serves its cuboid tasks one after another in a fixed order, so its
+// virtual-clock timeline, and the --gpu analysis of it, is the same on
+// every run (two slots sharing a device interleave their copies
+// differently from run to run).
 int RunGpuFlightDump(const std::string& path) {
-  const ClusterConfig cluster = ClusterConfig::Local(2, 2);
+  const ClusterConfig cluster = ClusterConfig::Local(1, 1);
   GeneratorOptions ga;
   ga.rows = ga.cols = 256;
   ga.block_size = 64;
@@ -519,9 +522,9 @@ int RunGpuFlightDump(const std::string& path) {
   GeneratorOptions gb = ga;
   gb.seed = 32;
   engine::DistributedMatrix a =
-      engine::DistributedMatrix::FromGridHashed(GenerateUniform(ga), 2);
+      engine::DistributedMatrix::FromGridHashed(GenerateUniform(ga), 1);
   engine::DistributedMatrix b =
-      engine::DistributedMatrix::FromGridHashed(GenerateUniform(gb), 2);
+      engine::DistributedMatrix::FromGridHashed(GenerateUniform(gb), 1);
   // CuboidMM rather than RMM: cuboid tasks stream through RunCuboidOnGpu,
   // so the dump carries tagged per-cuboid intervals and occupancy marks.
   mm::CuboidMethod method(mm::CuboidSpec{2, 2, 2});

@@ -67,10 +67,15 @@ grep -q '\[stable\]' <<<"$diff_out"
 echo
 echo "== gpu timeline smoke: device interval dump -> --gpu / --timeline =="
 gpu_dump="$(mktemp /tmp/distme_gpu.XXXXXX.json)"
+gpu_dump_b="$(mktemp /tmp/distme_gpu.XXXXXX.json)"
 gpu_trace="$(mktemp /tmp/distme_gpu_trace.XXXXXX.json)"
-trap 'rm -f "$dump_a" "$dump_b" "$gpu_dump" "$gpu_trace"' EXIT
+trap 'rm -f "$dump_a" "$dump_b" "$gpu_dump" "$gpu_dump_b" "$gpu_trace"' EXIT
 ./build/bench/bench_micro_engine --gpu-flight-dump="$gpu_dump" >/dev/null
+./build/bench/bench_micro_engine --gpu-flight-dump="$gpu_dump_b" >/dev/null
 "$analyze" "$gpu_dump" --gpu
+# The dump is deterministic, so two of them must analyze byte-identically.
+cmp <("$analyze" "$gpu_dump" --gpu --json) \
+    <("$analyze" "$gpu_dump_b" --gpu --json)
 # The Chrome-trace export of the dump must satisfy the viewer invariants.
 "$analyze" "$gpu_dump" --timeline "$gpu_trace" >/dev/null
 python3 scripts/trace_lint.py "$gpu_trace"

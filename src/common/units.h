@@ -16,6 +16,19 @@ inline constexpr int64_t kTiB = int64_t{1} << 40;
 /// cuBLAS Dgemm / cusparseDcsrmm kernels).
 inline constexpr int64_t kElementBytes = 8;
 
+/// \brief Stores a × b in `*product` and returns true when a and b are
+/// non-negative and the product fits in int64; returns false otherwise,
+/// leaving `*product` as it was. The bound is checked by division, so the
+/// product is never formed when it would overflow — for sizes read from
+/// outside the program (file headers, wire formats).
+[[nodiscard]] constexpr bool CheckedProduct(int64_t a, int64_t b,
+                                            int64_t* product) {
+  if (a < 0 || b < 0) return false;
+  if (b != 0 && a > INT64_MAX / b) return false;
+  *product = a * b;
+  return true;
+}
+
 /// \brief Formats a byte count as a short human string, e.g. "1.50 GB".
 std::string FormatBytes(double bytes);
 

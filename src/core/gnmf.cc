@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "blas/local_mm.h"
-#include "core/expr.h"
 #include "sim/timeline.h"
 
 namespace distme::core {
@@ -79,74 +78,6 @@ Result<GnmfResult> RunGnmf(Session* session, const Matrix& v,
         w, session->ElementWise(blas::ElementWiseOp::kDiv, w_num, whht,
                                 options.epsilon));
 
-    if (options.track_loss) {
-      DISTME_ASSIGN_OR_RETURN(double loss, FrobeniusLoss(v, w, h));
-      result.loss.push_back(loss);
-    }
-  }
-  result.w = std::move(w);
-  result.h = std::move(h);
-  return result;
-}
-
-Result<GnmfResult> RunGnmfExpr(Session* session, const Matrix& v,
-                               const GnmfOptions& options,
-                               GnmfEvalStats* stats) {
-  if (options.factor_dim <= 0) return Status::Invalid("factor_dim must be > 0");
-  const int64_t block_size = v.shape().block_size;
-
-  GeneratorOptions wgen;
-  wgen.rows = v.rows();
-  wgen.cols = options.factor_dim;
-  wgen.block_size = block_size;
-  wgen.seed = options.seed;
-  DISTME_ASSIGN_OR_RETURN(Matrix w, session->Generate(wgen));
-
-  GeneratorOptions hgen;
-  hgen.rows = options.factor_dim;
-  hgen.cols = v.cols();
-  hgen.block_size = block_size;
-  hgen.seed = options.seed + 1;
-  DISTME_ASSIGN_OR_RETURN(Matrix h, session->Generate(hgen));
-
-  GnmfResult result;
-  const auto v_leaf = Expr::Leaf(v, "V");
-  for (int iter = 0; iter < options.iterations; ++iter) {
-    EvalStats h_stats;
-    {
-      // H ← H ∘ (Wᵀ V) ⊘ ((Wᵀ W) H): Wᵀ is one shared subtree.
-      const auto w_leaf = Expr::Leaf(w, "W");
-      const auto h_leaf = Expr::Leaf(h, "H");
-      const auto wt = Expr::Transpose(w_leaf);
-      const auto update = Expr::ElementWise(
-          blas::ElementWiseOp::kDiv,
-          Expr::ElementWise(blas::ElementWiseOp::kMul, h_leaf,
-                            Expr::Multiply(wt, v_leaf)),
-          Expr::Multiply(Expr::Multiply(wt, w_leaf), h_leaf),
-          options.epsilon);
-      DISTME_ASSIGN_OR_RETURN(h, Evaluate(session, update, &h_stats));
-    }
-    EvalStats w_stats;
-    {
-      // W ← W ∘ (V Hᵀ) ⊘ (W (H Hᵀ)): Hᵀ is one shared subtree.
-      const auto w_leaf = Expr::Leaf(w, "W");
-      const auto h_leaf = Expr::Leaf(h, "H");
-      const auto ht = Expr::Transpose(h_leaf);
-      const auto update = Expr::ElementWise(
-          blas::ElementWiseOp::kDiv,
-          Expr::ElementWise(blas::ElementWiseOp::kMul, w_leaf,
-                            Expr::Multiply(v_leaf, ht)),
-          Expr::Multiply(w_leaf, Expr::Multiply(h_leaf, ht)),
-          options.epsilon);
-      DISTME_ASSIGN_OR_RETURN(w, Evaluate(session, update, &w_stats));
-    }
-    if (stats != nullptr) {
-      stats->nodes_evaluated +=
-          h_stats.nodes_evaluated + w_stats.nodes_evaluated;
-      stats->nodes_reused += h_stats.nodes_reused + w_stats.nodes_reused;
-      stats->multiplications +=
-          h_stats.multiplications + w_stats.multiplications;
-    }
     if (options.track_loss) {
       DISTME_ASSIGN_OR_RETURN(double loss, FrobeniusLoss(v, w, h));
       result.loss.push_back(loss);

@@ -37,20 +37,6 @@ struct GnmfResult {
 [[nodiscard]] Result<GnmfResult> RunGnmf(Session* session, const Matrix& v,
                            const GnmfOptions& options);
 
-/// \brief GNMF built as expression DAGs (core/expr.h): within one iteration
-/// Wᵀ and Hᵀ are shared subtrees evaluated once — the dependency
-/// exploitation of DMac, expressed through DistME's plan generator.
-/// Numerically identical to RunGnmf. `stats` (optional) accumulates the
-/// evaluator's reuse counters across iterations.
-struct GnmfEvalStats {
-  int64_t nodes_evaluated = 0;
-  int64_t nodes_reused = 0;
-  int64_t multiplications = 0;
-};
-[[nodiscard]] Result<GnmfResult> RunGnmfExpr(Session* session, const Matrix& v,
-                               const GnmfOptions& options,
-                               GnmfEvalStats* stats = nullptr);
-
 /// \brief Options for a simulated (paper-scale) GNMF run.
 struct GnmfSimOptions {
   mm::MatrixDescriptor v;  ///< the rating matrix (users × items, sparse)

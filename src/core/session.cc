@@ -147,40 +147,23 @@ Result<Matrix> Session::MultiplyWith(const Matrix& a, const Matrix& b,
   real.comm = &comm_;
   real.flight = &flight_;
   real.flight_dump_path = options_.flight_dump_path;
-  // Explain bracketing: snapshot before the run so the report can attribute
-  // to this run only its delta of the session-cumulative instruments.
-  obs::MetricsSnapshot before;
-  obs::CommMatrixSnapshot comm_before;
-  uint64_t flight_seq_before = 0;
-  if (options_.collect_explain) {
-    before = metrics_.Snapshot();
-    comm_before = comm_.Snapshot();
-    flight_seq_before = flight_.TotalRecorded();
-  }
+  // This run's flight events are the ones recorded after this point.
+  const uint64_t flight_seq_before = flight_.TotalRecorded();
   DISTME_ASSIGN_OR_RETURN(
       engine::RealRunResult run,
       executor_->Run(a.distributed(), b.distributed(), method, real));
   history_.push_back(run.report);
   if (options_.collect_explain) {
-    const obs::MetricsSnapshot after = metrics_.Snapshot();
-    const obs::CommMatrixSnapshot comm_delta =
-        comm_.Snapshot().Delta(comm_before);
-    // Flight bracketing: only this run's events feed the causal analysis —
-    // without the seq filter a failed run could resurrect the previous
-    // run's (complete) event trail.
+    // Only this run's events feed its explain; the ring also holds earlier
+    // runs.
     std::vector<obs::FlightEvent> flight_events = flight_.Snapshot();
     std::erase_if(flight_events, [flight_seq_before](
                                      const obs::FlightEvent& e) {
       return e.seq <= flight_seq_before;
     });
-    engine::ExplainObsInputs inputs;
-    inputs.before = &before;
-    inputs.after = &after;
-    inputs.comm_delta = &comm_delta;
-    inputs.flight_events = &flight_events;
     const mm::MMProblem problem{a.Descriptor(), b.Descriptor()};
     Result<engine::ExplainReport> explain = engine::BuildExplainReport(
-        run.report, method, problem, options_.cluster, inputs);
+        run.report, method, problem, options_.cluster, flight_events);
     if (explain.ok()) {
       last_explain_ = std::move(*explain);
       if (run.report.outcome.ok() &&

@@ -65,10 +65,10 @@ class Session {
     std::shared_ptr<Planner> planner;
     engine::RealOptions real;
     /// Build an ExplainReport (predicted vs measured, straggler stats) for
-    /// every multiplication, and set the `distme.gpu.*` overlap gauges of a
-    /// GPU run from its analysis. Costs two registry snapshots and one pass
-    /// over the run's flight events per run; turn off for
-    /// overhead-sensitive micro-benchmarks.
+    /// every multiplication from its MMReport and its own flight events, and
+    /// set the `distme.gpu.*` overlap gauges of a GPU run from its analysis.
+    /// Costs one ring snapshot and one pass over the run's flight events per
+    /// run; turn off for overhead-sensitive micro-benchmarks.
     bool collect_explain = true;
     /// Flight-recorder ring capacity (events). Always on — recording is a
     /// few relaxed atomics per event — and the ring doubles as the crash
@@ -169,7 +169,8 @@ class Session {
   [[nodiscard]] Result<engine::ExplainReport> ExplainLastRun() const;
 
   /// \brief The session-owned communication matrix; every run's shuffle
-  /// traffic accumulates here (per-run views come via ExplainLastRun()).
+  /// traffic accumulates here (each run's own matrix is its MMReport::comm,
+  /// also in ExplainLastRun()).
   obs::CommMatrix& comm() { return comm_; }
   const obs::CommMatrix& comm() const { return comm_; }
 

@@ -1,5 +1,6 @@
 #include "engine/explain.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "common/units.h"
@@ -9,29 +10,27 @@ namespace distme::engine {
 
 namespace {
 
-// Straggler stats from a task-duration histogram delta. Real runs observe
-// distme.task.seconds; simulated runs observe distme.sim.task_seconds. Picks
-// whichever actually moved between the two snapshots.
-ExplainTaskStats TaskStatsFromSnapshots(const obs::MetricsSnapshot* before,
-                                        const obs::MetricsSnapshot* after) {
-  ExplainTaskStats stats;
-  if (after == nullptr) return stats;
-  for (const char* name : {"distme.task.seconds", "distme.sim.task_seconds"}) {
-    const obs::MetricPoint* after_point = after->Find(name);
-    if (after_point == nullptr) continue;
-    const obs::MetricPoint* before_point =
-        before != nullptr ? before->Find(name) : nullptr;
-    const obs::HistogramDeltaStats delta =
-        obs::HistogramDelta(*after_point, before_point);
-    if (delta.count == 0) continue;
-    stats.count = delta.count;
-    stats.p50_seconds = delta.p50;
-    stats.p95_seconds = delta.p95;
-    stats.max_seconds = delta.max;
-    stats.straggler_ratio = delta.p50 > 0 ? delta.p95 / delta.p50 : 0.0;
-    break;
+// Straggler stats over the run's task spans (finish − start of each task's
+// finishing attempt). Nearest-rank percentiles: the p-th is the smallest
+// span with at least p% of the spans at or below it.
+void SetSpanStats(const std::vector<obs::TaskBlockedTime>& tasks,
+                  ExplainTaskStats* stats) {
+  if (tasks.empty()) return;
+  std::vector<int64_t> spans;
+  spans.reserve(tasks.size());
+  for (const obs::TaskBlockedTime& t : tasks) {
+    spans.push_back(t.finish_us - t.start_us);
   }
-  return stats;
+  std::sort(spans.begin(), spans.end());
+  auto seconds_at = [&spans](size_t percent) {
+    const size_t rank = (spans.size() * percent + 99) / 100;  // ≥ 1
+    return static_cast<double>(spans[rank - 1]) * 1e-6;
+  };
+  stats->p50_seconds = seconds_at(50);
+  stats->p95_seconds = seconds_at(95);
+  stats->max_seconds = seconds_at(100);
+  stats->straggler_ratio =
+      stats->p50_seconds > 0 ? stats->p95_seconds / stats->p50_seconds : 0.0;
 }
 
 void AppendRow(std::string* out, const char* stage, const char* predicted,
@@ -225,11 +224,10 @@ std::string ExplainReport::ToJson() const {
   return w.str();
 }
 
-Result<ExplainReport> BuildExplainReport(const MMReport& report,
-                                         const mm::Method& method,
-                                         const mm::MMProblem& problem,
-                                         const ClusterConfig& cluster,
-                                         const ExplainObsInputs& obs) {
+Result<ExplainReport> BuildExplainReport(
+    const MMReport& report, const mm::Method& method,
+    const mm::MMProblem& problem, const ClusterConfig& cluster,
+    std::span<const obs::FlightEvent> flight_events) {
   DISTME_ASSIGN_OR_RETURN(const mm::AnalyticCost predicted,
                           method.Analytic(problem, cluster));
 
@@ -268,20 +266,20 @@ Result<ExplainReport> BuildExplainReport(const MMReport& report,
   aggregation.measured_seconds = report.steps.aggregation_seconds;
   explain.stages.push_back(aggregation);
 
-  explain.tasks = TaskStatsFromSnapshots(obs.before, obs.after);
-  if (explain.tasks.count == 0) explain.tasks.count = report.num_tasks;
+  explain.tasks.count = report.num_tasks;
   explain.tasks.retries = report.task_retries;
 
   explain.has_pipeline = report.pipeline.prefetch_depth > 0;
   explain.pipeline = report.pipeline;
 
-  if (obs.comm_delta != nullptr) explain.comm = *obs.comm_delta;
+  explain.comm = report.comm;
 
-  if (obs.flight_events != nullptr) {
+  if (!flight_events.empty()) {
     // The PCI-E peak comes from the cluster's hardware model (the roofline
     // the copies are measured against).
     obs::RunAnalysis run =
-        obs::AnalyzeRun(*obs.flight_events, cluster.hw.pcie_bandwidth);
+        obs::AnalyzeRun(flight_events, cluster.hw.pcie_bandwidth);
+    SetSpanStats(run.critical_path.tasks, &explain.tasks);
     explain.gpu = std::move(run.gpu);
     explain.has_gpu = !explain.gpu.empty();
     explain.critical_path = std::move(run.critical_path);

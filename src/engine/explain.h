@@ -2,12 +2,14 @@
 // multiplication. For each of the paper's three steps (repartition, local
 // multiply, aggregation) it pairs the planner's predicted Table-2 cost with
 // what the executor measured — wall time, bytes, task counts, straggler
-// percentiles — plus this run's communication matrix. Renders as an aligned
+// percentiles — plus this run's communication matrix. It reads one run's
+// record only: its MMReport and its own flight events. Renders as an aligned
 // text table (for humans) and as JSON (for tooling), alongside the plain
 // MMReport.
 
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -19,7 +21,6 @@
 #include "obs/critical_path.h"
 #include "obs/flight_recorder.h"
 #include "obs/gpu_timeline.h"
-#include "obs/metrics.h"
 
 namespace distme::engine {
 
@@ -33,9 +34,12 @@ struct ExplainStageRow {
   double measured_seconds = 0;
 };
 
-/// \brief Straggler statistics over this run's task durations.
+/// \brief Straggler statistics over this run's task spans: finish − start
+/// of each task's finishing attempt, from the run's flight events. The
+/// percentiles are nearest-rank, so each is one task's exact span; they
+/// stay 0 without flight events.
 struct ExplainTaskStats {
-  int64_t count = 0;
+  int64_t count = 0;  ///< planned tasks (MMReport::num_tasks)
   int64_t retries = 0;
   double p50_seconds = 0;
   double p95_seconds = 0;
@@ -60,11 +64,13 @@ struct ExplainReport {
 
   ExplainTaskStats tasks;
 
-  /// This run's per-link traffic (empty when no CommMatrix was wired in).
+  /// This run's per-link traffic, MMReport::comm (empty when no
+  /// CommMatrix was wired in).
   obs::CommMatrixSnapshot comm;
 
   /// Critical-path analysis of the run's causal DAG (only when flight
   /// events were supplied to BuildExplainReport and held a complete run).
+  /// Its `gpu` bucket is wall-clock time blocked on the device.
   bool has_critical_path = false;
   obs::CriticalPathAnalysis critical_path;
 
@@ -75,11 +81,11 @@ struct ExplainReport {
   bool has_pipeline = false;
   PipelineStats pipeline;
 
-  /// GPU pipeline overlap analysis (only when flight events were supplied
-  /// and contained device interval events). When present, the critical
-  /// path's "gpu" attribution is split by its window fractions. Both come
-  /// from obs::AnalyzeRun, as `GET /gpu` and `distme_analyze` do, so all
-  /// of them report identical numbers for one run.
+  /// GPU pipeline overlap analysis on the device clock (only when flight
+  /// events were supplied and contained device interval events). It and
+  /// the critical path come from obs::AnalyzeRun, as `GET /gpu` and
+  /// `distme_analyze` do, so all of them report identical numbers for one
+  /// run.
   bool has_gpu = false;
   obs::GpuTimelineAnalysis gpu;
 
@@ -90,27 +96,15 @@ struct ExplainReport {
   std::string ToJson() const;
 };
 
-/// \brief Optional observability inputs for BuildExplainReport: registry
-/// snapshots bracketing the run (for per-run histogram deltas) and this
-/// run's comm-matrix delta. All pointers may be null.
-struct ExplainObsInputs {
-  const obs::MetricsSnapshot* before = nullptr;
-  const obs::MetricsSnapshot* after = nullptr;
-  const obs::CommMatrixSnapshot* comm_delta = nullptr;
-  /// Flight events covering the run (a ring snapshot, or the slice of one
-  /// bracketing the run). When present and a complete run is found, the
-  /// report grows its critical-path section.
-  const std::vector<obs::FlightEvent>* flight_events = nullptr;
-};
-
 /// \brief Combines the executed `report` with the method's Table-2
-/// prediction for `problem` on `cluster`, plus whatever observability
-/// inputs are available. Fails only if the problem itself is invalid for
-/// the method's analytic model.
-[[nodiscard]] Result<ExplainReport> BuildExplainReport(const MMReport& report,
-                                         const mm::Method& method,
-                                         const mm::MMProblem& problem,
-                                         const ClusterConfig& cluster,
-                                         const ExplainObsInputs& obs = {});
+/// prediction for `problem` on `cluster`. `flight_events` are the run's own
+/// flight events (for Session, the ring's events recorded since the run
+/// began): when they hold a complete run, obs::AnalyzeRun supplies the
+/// straggler percentiles, the critical path and the GPU section. Fails only
+/// if the problem itself is invalid for the method's analytic model.
+[[nodiscard]] Result<ExplainReport> BuildExplainReport(
+    const MMReport& report, const mm::Method& method,
+    const mm::MMProblem& problem, const ClusterConfig& cluster,
+    std::span<const obs::FlightEvent> flight_events = {});
 
 }  // namespace distme::engine

@@ -647,6 +647,10 @@ class RealExecutor::Impl {
     result.report.method_name = method.name();
     result.report.mode = mode;
     result.report.num_tasks = static_cast<int64_t>(tasks.size());
+    // Every transfer is recorded by now (aggregation finalize is local).
+    if (options.comm != nullptr) {
+      result.report.comm = options.comm->Snapshot().Delta(comm_base);
+    }
     if (pipelined_run) {
       const obs::MetricsSnapshot pipe_cut = metrics->Snapshot();
       PipelineStats& pipe = result.report.pipeline;
@@ -714,17 +718,7 @@ class RealExecutor::Impl {
     }
     agg_nanos->Add(static_cast<int64_t>(agg_clock.ElapsedSeconds() * 1e9));
 
-    // Per-link summary gauges, derived from this run's comm-matrix delta.
-    if (options.comm != nullptr) {
-      const obs::CommMatrixSnapshot comm_delta =
-          options.comm->Snapshot().Delta(comm_base);
-      metrics->GetGauge("distme.comm.max_link_bytes")
-          ->Set(comm_delta.MaxLinkBytes());
-      metrics->GetGauge("distme.comm.skew_permille")
-          ->Set(static_cast<int64_t>(comm_delta.SkewRatio() * 1000.0));
-      metrics->GetGauge("distme.comm.active_links")
-          ->Set(comm_delta.ActiveLinks());
-    }
+    if (options.comm != nullptr) SetCommGauges(result.report.comm, metrics);
 
     // The report's timings and byte counters are views over the registry —
     // the registry is the source of truth, not hand-threaded accumulators.

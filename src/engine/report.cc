@@ -31,6 +31,14 @@ std::string MMReport::OutcomeLabel() const {
   }
 }
 
+void SetCommGauges(const obs::CommMatrixSnapshot& comm,
+                   obs::MetricsRegistry* metrics) {
+  metrics->GetGauge("distme.comm.max_link_bytes")->Set(comm.MaxLinkBytes());
+  metrics->GetGauge("distme.comm.skew_permille")
+      ->Set(static_cast<int64_t>(comm.SkewRatio() * 1000.0));
+  metrics->GetGauge("distme.comm.active_links")->Set(comm.ActiveLinks());
+}
+
 std::string RunReportJson(const MMReport& report,
                           const obs::MetricsSnapshot* metrics) {
   obs::JsonWriter w;

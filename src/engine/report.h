@@ -7,6 +7,7 @@
 #include <string>
 
 #include "common/status.h"
+#include "obs/comm_matrix.h"
 #include "obs/metrics.h"
 
 namespace distme::engine {
@@ -73,15 +74,24 @@ struct MMReport {
   double pcie_bytes = 0;        ///< host<->device traffic (GPU modes)
   double gpu_utilization = 0;   ///< kernel-busy fraction of the multiply step
   PipelineStats pipeline;       ///< prefetch pipeline counters (real executor)
+  /// This run's per-link traffic: the delta of the executor's CommMatrix
+  /// over the run, failed runs included (empty when none was wired in).
+  obs::CommMatrixSnapshot comm;
 
   /// \brief Short outcome label for bench tables: "123.4s" or "O.O.M." etc.
   std::string OutcomeLabel() const;
 };
 
-/// \brief Structured JSON run report: every MMReport field, plus — when a
-/// metrics snapshot is supplied — the full `distme.*` metric set, including
-/// the labeled `distme.task.retries{reason}` breakdown. This supersedes
-/// hand-formatting report fields in bench/table code.
+/// \brief Sets the `distme.comm.*` per-link summary gauges from one run's
+/// comm matrix (MMReport::comm).
+void SetCommGauges(const obs::CommMatrixSnapshot& comm,
+                   obs::MetricsRegistry* metrics);
+
+/// \brief Structured JSON run report: every MMReport field but the comm
+/// matrix (explain renders that), plus — when a metrics snapshot is
+/// supplied — the full `distme.*` metric set, including the labeled
+/// `distme.task.retries{reason}` breakdown. This supersedes hand-formatting
+/// report fields in bench/table code.
 std::string RunReportJson(const MMReport& report,
                           const obs::MetricsSnapshot* metrics = nullptr);
 

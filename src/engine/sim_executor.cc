@@ -486,6 +486,9 @@ Result<MMReport> SimExecutor::Run(const mm::MMProblem& problem,
         Status::Timeout(method.name() + ": exceeded the wall-clock limit");
   }
 
+  if (options.comm != nullptr) {
+    report.comm = options.comm->Snapshot().Delta(comm_base);
+  }
   if (options.metrics != nullptr) {
     obs::MetricsRegistry* m = options.metrics;
     m->GetCounter("distme.sim.runs")->Add(1);
@@ -501,15 +504,7 @@ Result<MMReport> SimExecutor::Run(const mm::MMProblem& problem,
     }
     obs::Histogram* h = m->GetHistogram("distme.sim.task_seconds");
     for (double d : task_durations) h->Observe(d);
-    if (options.comm != nullptr) {
-      const obs::CommMatrixSnapshot comm_delta =
-          options.comm->Snapshot().Delta(comm_base);
-      m->GetGauge("distme.comm.max_link_bytes")
-          ->Set(comm_delta.MaxLinkBytes());
-      m->GetGauge("distme.comm.skew_permille")
-          ->Set(static_cast<int64_t>(comm_delta.SkewRatio() * 1000.0));
-      m->GetGauge("distme.comm.active_links")->Set(comm_delta.ActiveLinks());
-    }
+    if (options.comm != nullptr) SetCommGauges(report.comm, m);
   }
   if (sim_timeline) {
     EmitSimFlightTimeline(options.flight, num_tasks, report, task_durations,

@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "common/units.h"
+
 namespace distme {
 
 Status WriteMatrixMarket(const BlockGrid& grid, const std::string& path) {
@@ -97,22 +99,43 @@ Result<BlockGrid> ReadMatrixMarket(const std::string& path,
       std::fclose(f);
       return Status::IOError("bad coordinate header");
     }
-    // Every entry takes at least six bytes (a separator, then "r c v"), so
-    // a larger count is corrupt. Checked before the reserve below, so a
-    // hostile header cannot ask for more memory than the file could fill.
-    const long data_begin = std::ftell(f);
-    const bool sized = data_begin >= 0 && std::fseek(f, 0, SEEK_END) == 0;
-    const long data_end = sized ? std::ftell(f) : -1;
-    if (data_end < 0 || std::fseek(f, data_begin, SEEK_SET) != 0) {
+  }
+  const long data_begin = std::ftell(f);
+  const bool sized = data_begin >= 0 && std::fseek(f, 0, SEEK_END) == 0;
+  const long data_end = sized ? std::ftell(f) : -1;
+  if (data_end < 0 || std::fseek(f, data_begin, SEEK_SET) != 0) {
+    std::fclose(f);
+    return Status::IOError("cannot size MatrixMarket file: " + path);
+  }
+  const int64_t data_bytes = data_end - data_begin;
+  // Each header is checked before anything it sizes is allocated, so a
+  // hostile one cannot ask for more memory than the file could fill.
+  if (array_format) {
+    // Every value takes at least two bytes (a separator, then a digit).
+    int64_t values = 0;
+    if (!CheckedProduct(rows, cols, &values) || values > data_bytes / 2) {
       std::fclose(f);
-      return Status::IOError("cannot size MatrixMarket file: " + path);
+      return Status::Invalid("array header claims " + std::to_string(rows) +
+                             " x " + std::to_string(cols) + " values in " +
+                             std::to_string(data_bytes) + " bytes of data");
     }
-    if (nnz < 0 || nnz > (data_end - data_begin) / 6) {
+  } else {
+    // Every entry takes at least six bytes (a separator, then "r c v").
+    if (nnz < 0 || nnz > data_bytes / 6) {
       std::fclose(f);
       return Status::Invalid("coordinate header claims " +
                              std::to_string(nnz) + " entries in " +
-                             std::to_string(data_end - data_begin) +
-                             " bytes of data");
+                             std::to_string(data_bytes) + " bytes of data");
+    }
+    // The CSR row pointer holds rows + 1 offsets, whatever nnz is; a row
+    // count whose pointer's byte size overflows cannot be allocated.
+    int64_t row_ptr_bytes = 0;
+    if (rows < 0 || cols < 0 || rows == INT64_MAX ||
+        !CheckedProduct(rows + 1, int64_t{sizeof(int64_t)}, &row_ptr_bytes)) {
+      std::fclose(f);
+      return Status::Invalid("coordinate header claims " +
+                             std::to_string(rows) + " x " +
+                             std::to_string(cols) + " dimensions");
     }
   }
 

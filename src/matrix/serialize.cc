@@ -2,6 +2,8 @@
 
 #include <cstring>
 
+#include "common/units.h"
+
 namespace distme {
 
 namespace {
@@ -123,8 +125,8 @@ Result<Block> DeserializeBlock(const std::vector<uint8_t>& buffer) {
     int64_t n = 0;
     DISTME_RETURN_NOT_OK(reader.ReadCount<double>(&n));
     if (n == 0) return Block::Zero(rows, cols);
-    // n == rows * cols, tested by division because the product can overflow.
-    if (n % cols != 0 || n / cols != rows) {
+    int64_t cells = 0;
+    if (!CheckedProduct(rows, cols, &cells) || cells != n) {
       return Status::IOError("dense payload size mismatch");
     }
     std::vector<double> data(static_cast<size_t>(n));

@@ -5,39 +5,33 @@
 
 namespace distme::obs {
 
-CausalGraph BuildCausalGraph(const std::vector<FlightEvent>& events) {
+std::span<const FlightEvent> LastCompleteRun(
+    std::span<const FlightEvent> events) {
+  for (size_t finish = events.size(); finish-- > 0;) {
+    if (events[finish].type != FlightEventType::kRunFinish) continue;
+    for (size_t start = finish; start-- > 0;) {
+      if (events[start].type == FlightEventType::kRunStart) {
+        return events.subspan(start, finish - start + 1);
+      }
+    }
+    break;
+  }
+  return {};
+}
+
+CausalGraph BuildCausalGraph(std::span<const FlightEvent> run) {
   CausalGraph graph;
-
-  // Analysis targets the most recent complete run in the snapshot: the
-  // last kRunFinish, paired with the last kRunStart before it. (A ring
-  // can hold several runs, or the tail of a wrapped one.)
-  size_t finish_idx = events.size();
-  for (size_t i = events.size(); i-- > 0;) {
-    if (events[i].type == FlightEventType::kRunFinish) {
-      finish_idx = i;
-      break;
-    }
+  if (run.size() < 2 || run.front().type != FlightEventType::kRunStart ||
+      run.back().type != FlightEventType::kRunFinish) {
+    return graph;
   }
-  if (finish_idx == events.size()) return graph;
-  size_t start_idx = finish_idx;  // sentinel: == finish_idx means not found
-  for (size_t i = finish_idx; i-- > 0;) {
-    if (events[i].type == FlightEventType::kRunStart) {
-      start_idx = i;
-      break;
-    }
-  }
-  if (start_idx == finish_idx) return graph;
-
-  const FlightEvent& run_start = events[start_idx];
-  const FlightEvent& run_finish = events[finish_idx];
-  graph.run_start_us = run_start.ts_us;
-  graph.run_finish_us = run_finish.ts_us;
-  graph.planned_tasks = run_start.a;
-  graph.run_ok = run_finish.b == 0;
+  graph.run_start_us = run.front().ts_us;
+  graph.run_finish_us = run.back().ts_us;
+  graph.planned_tasks = run.front().a;
+  graph.run_ok = run.back().b == 0;
 
   std::unordered_map<int64_t, CausalTask> tasks;
-  for (size_t i = start_idx; i <= finish_idx; ++i) {
-    const FlightEvent& e = events[i];
+  for (const FlightEvent& e : run) {
     switch (e.type) {
       case FlightEventType::kTaskStart: {
         CausalTask& t = tasks[e.a];
@@ -78,8 +72,6 @@ CausalGraph BuildCausalGraph(const std::vector<FlightEvent>& events) {
             t.gpu_wait_us = FlightSum(t.gpu_wait_us, e.b);
             break;
           default:
-            // kSlotWait and kExec are derived (slot chains / remainder),
-            // kStage edges belong to stages, not tasks.
             break;
         }
         break;

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -41,7 +42,7 @@ struct CausalStage {
   int64_t span_us() const { return end_us - begin_us; }
 };
 
-/// \brief A run decoded from a flight snapshot: run bounds, completed
+/// \brief A run decoded from its flight events: run bounds, completed
 /// tasks (ordered by finish time), and stage intervals.
 struct CausalGraph {
   int64_t run_start_us = 0;
@@ -54,12 +55,21 @@ struct CausalGraph {
   int64_t wall_us() const { return run_finish_us - run_start_us; }
 };
 
-/// \brief Reconstructs the LAST complete run present in `events` (a ring
-/// snapshot may hold several runs; analysis always targets the most
-/// recent kRunStart...kRunFinish pair). Tasks whose start was overwritten
-/// by ring wrap fall back to `finish - b` (kTaskFinish carries the
-/// attempt's duration in `b`); tasks with no finish event are dropped.
-/// Returns an empty graph (wall_us() == 0) if no complete run is found.
-CausalGraph BuildCausalGraph(const std::vector<FlightEvent>& events);
+/// \brief The last complete run in `events`: the slice from the last
+/// kRunStart before the last kRunFinish through that kRunFinish. A ring
+/// snapshot may hold several runs, or the tail of a wrapped one; analysis
+/// always targets the most recent complete run. Empty when there is none.
+/// This is the one run cut: obs::AnalyzeRun makes it and hands the slice to
+/// both BuildCausalGraph and AnalyzeGpuTimeline.
+std::span<const FlightEvent> LastCompleteRun(
+    std::span<const FlightEvent> events);
+
+/// \brief Reconstructs the run `run` holds: a slice that opens with its
+/// kRunStart and closes with its kRunFinish, as LastCompleteRun cuts it
+/// (an empty graph, wall_us() == 0, for any other slice). Tasks whose start
+/// was overwritten by ring wrap fall back to `finish - b` (kTaskFinish
+/// carries the attempt's duration in `b`); tasks with no finish event are
+/// dropped.
+CausalGraph BuildCausalGraph(std::span<const FlightEvent> run);
 
 }  // namespace distme::obs

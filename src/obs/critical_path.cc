@@ -31,50 +31,6 @@ int64_t Clamp(int64_t v, int64_t lo, int64_t hi) {
 // *sum += us, saturating: the sums run over a dump's events (FlightSum).
 void Add(int64_t* sum, int64_t us) { *sum = FlightSum(*sum, us); }
 
-// Splits the opaque "gpu" attribution bucket into {gpu-kernel, gpu-h2d,
-// gpu-d2h, gpu-bubble} by the device-window fractions. Largest-remainder
-// rounding keeps the split exact: the pieces sum to the original "gpu" µs,
-// so path_us and the tiling invariant are untouched.
-void SplitGpuAttribution(const GpuWindowFractions& f,
-                         std::map<std::string, int64_t>* attribution) {
-  const auto it = attribution->find("gpu");
-  if (it == attribution->end() || it->second <= 0) return;
-  const double fsum = f.kernel_bound + f.h2d_bound + f.d2h_bound + f.bubble;
-  if (fsum <= 0.0) return;  // no window info: leave "gpu" opaque
-  const int64_t total = it->second;
-  attribution->erase(it);
-  struct Part {
-    const char* name;
-    double frac;
-    int64_t whole = 0;
-    double remainder = 0.0;
-  };
-  Part parts[4] = {{"gpu-kernel", f.kernel_bound},
-                   {"gpu-h2d", f.h2d_bound},
-                   {"gpu-d2h", f.d2h_bound},
-                   {"gpu-bubble", f.bubble}};
-  int64_t assigned = 0;
-  for (Part& p : parts) {
-    const double exact = static_cast<double>(total) * (p.frac / fsum);
-    p.whole = static_cast<int64_t>(exact);
-    p.remainder = exact - static_cast<double>(p.whole);
-    assigned += p.whole;
-  }
-  int64_t leftover = total - assigned;
-  std::stable_sort(std::begin(parts), std::end(parts),
-                   [](const Part& l, const Part& r) {
-                     return l.remainder > r.remainder;
-                   });
-  for (Part& p : parts) {
-    if (leftover <= 0) break;
-    ++p.whole;
-    --leftover;
-  }
-  for (const Part& p : parts) {
-    if (p.whole > 0) (*attribution)[p.name] += p.whole;
-  }
-}
-
 std::string Us(int64_t us) {
   return FormatSeconds(static_cast<double>(us) * 1e-6);
 }
@@ -101,8 +57,7 @@ double CriticalPathAnalysis::bottleneck_fraction() const {
   return static_cast<double>(it->second) / static_cast<double>(path_us);
 }
 
-CriticalPathAnalysis AnalyzeCriticalPath(const CausalGraph& graph,
-                                         const GpuWindowFractions* gpu_split) {
+CriticalPathAnalysis AnalyzeCriticalPath(const CausalGraph& graph) {
   CriticalPathAnalysis out;
   out.wall_us = graph.wall_us();
   out.run_ok = graph.run_ok;
@@ -271,9 +226,6 @@ CriticalPathAnalysis AnalyzeCriticalPath(const CausalGraph& graph,
     Add(&out.attribution_us[hop.resource], hop.duration_us());
     Add(&out.path_us, hop.duration_us());
   }
-  if (gpu_split != nullptr) {
-    SplitGpuAttribution(*gpu_split, &out.attribution_us);
-  }
   return out;
 }
 
@@ -410,15 +362,14 @@ std::string CriticalPathAnalysis::ToText() const {
   return out;
 }
 
-RunAnalysis AnalyzeRun(const std::vector<FlightEvent>& events,
+RunAnalysis AnalyzeRun(std::span<const FlightEvent> events,
                        double pcie_peak_bytes_per_sec) {
-  RunAnalysis run;
-  run.gpu = AnalyzeGpuTimeline(events, pcie_peak_bytes_per_sec);
-  const GpuWindowFractions fractions = run.gpu.run.WindowFractions();
-  run.critical_path =
-      AnalyzeCriticalPath(BuildCausalGraph(events),
-                          run.gpu.run.window_us() > 0 ? &fractions : nullptr);
-  return run;
+  const std::span<const FlightEvent> run = LastCompleteRun(events);
+  RunAnalysis out;
+  out.gpu = AnalyzeGpuTimeline(run.empty() ? events : run,
+                               pcie_peak_bytes_per_sec);
+  out.critical_path = AnalyzeCriticalPath(BuildCausalGraph(run));
+  return out;
 }
 
 CriticalPathDiff DiffCriticalPaths(const CriticalPathAnalysis& before,

@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -99,27 +100,21 @@ struct CriticalPathAnalysis {
 
 /// \brief Runs the analysis. An empty graph yields an empty analysis
 /// (wall_us == 0, no hops).
-///
-/// When `gpu_split` is non-null (window fractions from a GPU overlap
-/// report, see obs/gpu_timeline.h), the opaque "gpu" attribution bucket is
-/// apportioned into {gpu-kernel, gpu-h2d, gpu-d2h, gpu-bubble} by the
-/// device-window fractions, using largest-remainder rounding so the split
-/// pieces sum to the original "gpu" µs exactly (path_us is unchanged).
-/// Individual hops keep the "gpu" resource label; only the rollup splits.
-CriticalPathAnalysis AnalyzeCriticalPath(
-    const CausalGraph& graph, const GpuWindowFractions* gpu_split = nullptr);
+CriticalPathAnalysis AnalyzeCriticalPath(const CausalGraph& graph);
 
-/// \brief A run's analyses from its flight events: the GPU overlap analysis
-/// of its device intervals, and the critical path of its last complete run
-/// with the "gpu" bucket split by that analysis' window fractions.
+/// \brief A run's analyses from its flight events: the critical path and
+/// the GPU overlap analysis of its last complete run.
 struct RunAnalysis {
   GpuTimelineAnalysis gpu;
   CriticalPathAnalysis critical_path;
 };
 
-/// \brief Runs events → GPU timeline → window split → critical path.
-/// `pcie_peak_bytes_per_sec` is the roofline the GPU copies are held to.
-RunAnalysis AnalyzeRun(const std::vector<FlightEvent>& events,
+/// \brief Cuts the last complete run out of `events` (LastCompleteRun) and
+/// runs both analyses over that slice. With no complete run (a crash, or
+/// device events alone) the critical path is empty and the GPU analysis
+/// covers every device event. `pcie_peak_bytes_per_sec` is the roofline
+/// the GPU copies are held to.
+RunAnalysis AnalyzeRun(std::span<const FlightEvent> events,
                        double pcie_peak_bytes_per_sec);
 
 /// \brief What changed between two runs of one workload.

@@ -200,9 +200,7 @@ std::string ChromeTraceJson(const std::vector<FlightEvent>& events,
       case FlightEventType::kDepEdge: {
         // The edge is the `b` µs ending at ts_us.
         const FlightEdgeKind kind = FlightEdgeKindFromName(e.detail);
-        if ((kind == FlightEdgeKind::kFetchWait ||
-             kind == FlightEdgeKind::kGpuWait) &&
-            e.b > 0) {
+        if (kind != FlightEdgeKind::kNumKinds && e.b > 0) {
           AppendSpan(FlightEdgeKindName(kind), "edge", e.ts_us - e.b, e.ts_us,
                      e.node, e.slot, {{"task", e.a}}, &w);
           slot_tracks.emplace(e.node, e.slot);
@@ -238,15 +236,9 @@ std::string ChromeTraceJson(const std::vector<FlightEvent>& events,
     }
   }
 
-  // Device engine intervals, paired once by AnalyzeGpuTimeline. Without
-  // the run_finish markers it keeps the intervals of every run in the
-  // ring, not only the last one's.
-  std::vector<FlightEvent> device_events;
-  device_events.reserve(events.size());
-  for (const FlightEvent& e : events) {
-    if (e.type != FlightEventType::kRunFinish) device_events.push_back(e);
-  }
-  const GpuTimelineAnalysis gpu = AnalyzeGpuTimeline(device_events);
+  // Device engine intervals of every run in the ring, paired once by
+  // AnalyzeGpuTimeline.
+  const GpuTimelineAnalysis gpu = AnalyzeGpuTimeline(events);
   int64_t device_pid = driver_pid + 1;
   for (const GpuDeviceTimeline& device : gpu.devices) {
     for (const GpuInterval& iv : device.intervals) {

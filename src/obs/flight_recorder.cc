@@ -44,11 +44,8 @@ static_assert(std::size(kFlightEventTypeNames) ==
 // `flight-edge-sync` checks that each name is the snake_case of the
 // enumerator at the same index; the static_assert below checks the count).
 constexpr const char* kFlightEdgeKindNames[] = {
-    "slot_wait",   // kSlotWait
     "fetch_wait",  // kFetchWait
     "gpu_wait",    // kGpuWait
-    "exec",        // kExec
-    "stage",       // kStage
 };
 
 static_assert(std::size(kFlightEdgeKindNames) ==

@@ -69,22 +69,20 @@ enum class FlightEventType : uint8_t {
 /// \brief Stable snake_case name of `type` ("task_start", ...).
 const char* FlightEventTypeName(FlightEventType type);
 
-/// \brief What a `kDepEdge` event attributes its waited/spent time to.
+/// \brief What a `kDepEdge` event attributes its waited time to.
 ///
 /// An edge event records "task `a` spent `b` µs bound by <kind>, ending at
 /// `ts_us`". The causal-graph builder folds these into the per-task
 /// blocked-time decomposition (slot_wait + fetch_wait + gpu_wait + exec ==
-/// task span). The enum and `kFlightEdgeKindNames` in flight_recorder.cc
-/// must stay in sync entry-for-entry (snake_case of the enumerator) —
-/// checked by a static_assert on the count and by distme-lint rule
-/// `flight-edge-sync` on the order.
+/// task span); slot_wait and exec are derived there, not recorded. The
+/// enum and `kFlightEdgeKindNames` in flight_recorder.cc must stay in sync
+/// entry-for-entry (snake_case of the enumerator) — checked by a
+/// static_assert on the count and by distme-lint rule `flight-edge-sync`
+/// on the order.
 enum class FlightEdgeKind : uint8_t {
-  kSlotWait = 0,  ///< ready but no worker slot free (scheduling)
-  kFetchWait,     ///< blocked fetching remote input blocks (shuffle)
-  kGpuWait,       ///< blocked on GPU transfer/kernel completion
-  kExec,          ///< actually computing on the worker slot
-  kStage,         ///< stage-barrier dependency (repartition/aggregation)
-  kNumKinds       // sentinel — keep last
+  kFetchWait = 0,  ///< blocked fetching remote input blocks (shuffle)
+  kGpuWait,        ///< blocked on GPU transfer/kernel completion
+  kNumKinds        // sentinel — keep last
 };
 
 /// \brief Stable snake_case name of `kind` ("fetch_wait", ...). The

@@ -72,18 +72,6 @@ double OverlapReport::effective_pcie_bytes_per_sec() const {
          (static_cast<double>(copy_busy_us) * 1e-6);
 }
 
-GpuWindowFractions OverlapReport::WindowFractions() const {
-  GpuWindowFractions f;
-  const int64_t w = window_us();
-  if (w <= 0) return f;
-  const double dw = static_cast<double>(w);
-  f.kernel_bound = static_cast<double>(kernel_bound_us) / dw;
-  f.h2d_bound = static_cast<double>(h2d_bound_us) / dw;
-  f.d2h_bound = static_cast<double>(d2h_bound_us) / dw;
-  f.bubble = static_cast<double>(bubble_us) / dw;
-  return f;
-}
-
 void OverlapReport::AppendJson(JsonWriter* w) const {
   w->BeginObject();
   w->Key("window_begin_us");
@@ -271,36 +259,15 @@ bool IsGpuEnd(FlightEventType t, GpuEngine* engine) {
 
 }  // namespace
 
-GpuTimelineAnalysis AnalyzeGpuTimeline(const std::vector<FlightEvent>& events,
+GpuTimelineAnalysis AnalyzeGpuTimeline(std::span<const FlightEvent> events,
                                        double pcie_peak_bytes_per_sec) {
   GpuTimelineAnalysis analysis;
 
-  // Bracket to the last complete run when the snapshot contains one: the
-  // device virtual clock persists across runs, so filtering by the
-  // [run_start, run_finish] *sequence* range is the correct per-run cut.
-  uint64_t finish_seq = 0;
-  for (const FlightEvent& e : events) {
-    if (e.type == FlightEventType::kRunFinish && e.seq > finish_seq) {
-      finish_seq = e.seq;
-    }
-  }
-  uint64_t start_seq = 0;
-  if (finish_seq != 0) {
-    for (const FlightEvent& e : events) {
-      if (e.type == FlightEventType::kRunStart && e.seq < finish_seq &&
-          e.seq > start_seq) {
-        start_seq = e.seq;
-      }
-    }
-  }
-  const bool bracketed = finish_seq != 0 && start_seq != 0;
-
-  // Sort the relevant events by sequence so k-th begin pairs with k-th end
-  // per (node, ordinal, engine) — the device emits each pair back to back
-  // under its mutex, so FIFO matching in sequence order is exact.
+  // Sort the GPU events by sequence so k-th begin pairs with k-th end per
+  // (node, ordinal, engine) — the device emits each pair back to back under
+  // its mutex, so FIFO matching in sequence order is exact.
   std::vector<const FlightEvent*> gpu_events;
   for (const FlightEvent& e : events) {
-    if (bracketed && (e.seq <= start_seq || e.seq >= finish_seq)) continue;
     GpuEngine engine;
     if (IsGpuBegin(e.type, &engine) || IsGpuEnd(e.type, &engine) ||
         e.type == FlightEventType::kGpuAlloc) {
@@ -469,12 +436,15 @@ std::string GpuTimelineAnalysis::ToText() const {
                 FormatSeconds(static_cast<double>(run.bubble_us) * 1e-6)
                     .c_str());
   out += buf;
-  const GpuWindowFractions f = run.WindowFractions();
+  const double window = static_cast<double>(run.window_us());
+  auto pct = [window](int64_t us) {
+    return window > 0 ? static_cast<double>(us) / window * 100.0 : 0.0;
+  };
   std::snprintf(buf, sizeof(buf),
-                "  gpu window: kernel-bound %.0f%% | h2d-bound %.0f%% | "
-                "d2h-bound %.0f%% | bubble %.0f%%\n",
-                f.kernel_bound * 100.0, f.h2d_bound * 100.0,
-                f.d2h_bound * 100.0, f.bubble * 100.0);
+                "  gpu window (device clock): kernel-bound %.0f%% | "
+                "h2d-bound %.0f%% | d2h-bound %.0f%% | bubble %.0f%%\n",
+                pct(run.kernel_bound_us), pct(run.h2d_bound_us),
+                pct(run.d2h_bound_us), pct(run.bubble_us));
   out += buf;
   std::snprintf(
       buf, sizeof(buf),

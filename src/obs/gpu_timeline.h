@@ -11,14 +11,17 @@
 //     d2h-bound, bubble} tiles the window exactly (priority kernel > h2d >
 //     d2h when engines overlap), so attribution never double-counts.
 //   - overlapped ≤ min(copy-busy, kernel-busy) by construction.
-// All arithmetic is integer µs on the device's virtual clock. `GET /gpu`,
-// the explain GPU section and `distme_analyze --gpu` all print this one
-// analysis (through obs::AnalyzeRun), so they agree for one run.
+// All arithmetic is integer µs on the device's virtual clock, which the
+// wall-clock critical path (obs/critical_path.h) does not share: its `gpu`
+// bucket stays one wall-clock figure. `GET /gpu`, the explain GPU section
+// and `distme_analyze --gpu` all print this one analysis (through
+// obs::AnalyzeRun), so they agree for one run.
 
 #pragma once
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -77,17 +80,6 @@ struct GpuInterval {
   int64_t sub_index = 0;  ///< subcuboid index within the cuboid
 };
 
-/// \brief Window fractions of the exclusive decomposition — how the
-/// device-active window splits into {kernel-bound, h2d-bound, d2h-bound,
-/// bubble}. Feeds the critical-path attribution split of the opaque "gpu"
-/// bucket. Fractions sum to 1 when the window is non-empty.
-struct GpuWindowFractions {
-  double kernel_bound = 0.0;
-  double h2d_bound = 0.0;
-  double d2h_bound = 0.0;
-  double bubble = 0.0;
-};
-
 /// \brief Copy/compute overlap accounting over one set of intervals (a
 /// device window, one cuboid, or the whole-run aggregate).
 struct OverlapReport {
@@ -133,7 +125,6 @@ struct OverlapReport {
   double kernel_utilization() const;
   /// (h2d_bytes + d2h_bytes) / copy_busy — the achieved PCI-E bandwidth.
   double effective_pcie_bytes_per_sec() const;
-  GpuWindowFractions WindowFractions() const;
 
   /// \brief Appends this report as one JSON object (at most 64 bubble
   /// intervals are listed; `bubble_count` is always the true count).
@@ -163,18 +154,16 @@ struct GpuTimelineAnalysis {
   void AppendJson(JsonWriter* writer) const;
   std::string ToJson() const;
   /// \brief Indented text report: the run aggregate (window, busy, overlap,
-  /// bubbles), its window split, and PCI-E against the peak.
+  /// bubbles), its window split, and PCI-E against the peak — all on the
+  /// device clock.
   std::string ToText() const;
 };
 
-/// \brief Reconstructs per-engine timelines and overlap reports from a
-/// flight snapshot. When the snapshot contains a complete run (a run_start
-/// before the last run_finish), only GPU events inside that run's sequence
-/// bracket are analyzed — the device virtual clock persists across runs, so
-/// sequence bracketing is the correct per-run filter. Otherwise every GPU
-/// event in `events` is analyzed (callers that pre-filter to one run's
-/// events get exactly that run).
-GpuTimelineAnalysis AnalyzeGpuTimeline(const std::vector<FlightEvent>& events,
+/// \brief Reconstructs per-engine timelines and overlap reports from every
+/// GPU event in `events`. The device virtual clock persists across runs, so
+/// to describe one run pass that run's events (obs::AnalyzeRun passes the
+/// slice LastCompleteRun cuts).
+GpuTimelineAnalysis AnalyzeGpuTimeline(std::span<const FlightEvent> events,
                                        double pcie_peak_bytes_per_sec = 0.0);
 
 }  // namespace distme::obs

@@ -112,76 +112,6 @@ void Histogram::Reset() {
   max_.store(0.0, std::memory_order_relaxed);
 }
 
-namespace {
-
-// Rank interpolation over explicit bucket counts — the same estimate
-// Histogram::Percentile makes, but over a caller-supplied (delta) array.
-double PercentileFromBuckets(const std::vector<int64_t>& buckets,
-                             int64_t total, double p, double lo_clamp,
-                             double hi_clamp) {
-  if (total <= 0) return 0.0;
-  const double rank =
-      std::clamp(p, 0.0, 100.0) / 100.0 * static_cast<double>(total);
-  int64_t cumulative = 0;
-  for (size_t b = 0; b < buckets.size(); ++b) {
-    const int64_t in_bucket = buckets[b];
-    if (in_bucket == 0) continue;
-    if (static_cast<double>(cumulative + in_bucket) >= rank) {
-      const double lo = Histogram::BucketLowerBound(static_cast<int>(b));
-      const double hi =
-          b + 1 < buckets.size()
-              ? Histogram::BucketLowerBound(static_cast<int>(b) + 1)
-              : hi_clamp;
-      const double frac =
-          std::clamp((rank - static_cast<double>(cumulative)) /
-                         static_cast<double>(in_bucket),
-                     0.0, 1.0);
-      return std::clamp(lo + (hi - lo) * frac, lo_clamp, hi_clamp);
-    }
-    cumulative += in_bucket;
-  }
-  return hi_clamp;
-}
-
-}  // namespace
-
-HistogramDeltaStats HistogramDelta(const MetricPoint& after,
-                                   const MetricPoint* before) {
-  HistogramDeltaStats stats;
-  if (after.kind != MetricKind::kHistogram) return stats;
-  std::vector<int64_t> delta = after.buckets;
-  if (before != nullptr && before->kind == MetricKind::kHistogram) {
-    for (size_t b = 0; b < delta.size() && b < before->buckets.size(); ++b) {
-      delta[b] -= before->buckets[b];
-    }
-  }
-  int64_t count = 0;
-  int lowest = -1;
-  int highest = -1;
-  for (size_t b = 0; b < delta.size(); ++b) {
-    if (delta[b] < 0) delta[b] = 0;  // instrument was Reset() mid-window
-    if (delta[b] == 0) continue;
-    count += delta[b];
-    if (lowest < 0) lowest = static_cast<int>(b);
-    highest = static_cast<int>(b);
-  }
-  stats.count = count;
-  stats.sum = after.sum - (before != nullptr ? before->sum : 0.0);
-  if (count == 0) return stats;
-  // Bucket-bound extremes, tightened by the cumulative extremes (which
-  // bound every run's observations from outside).
-  stats.min = std::max(Histogram::BucketLowerBound(lowest), after.min);
-  stats.max =
-      highest + 1 < static_cast<int>(delta.size())
-          ? std::min(Histogram::BucketLowerBound(highest + 1), after.max)
-          : after.max;
-  if (stats.max < stats.min) stats.max = stats.min;
-  stats.p50 = PercentileFromBuckets(delta, count, 50, stats.min, stats.max);
-  stats.p95 = PercentileFromBuckets(delta, count, 95, stats.min, stats.max);
-  stats.p99 = PercentileFromBuckets(delta, count, 99, stats.min, stats.max);
-  return stats;
-}
-
 const MetricPoint* MetricsSnapshot::Find(std::string_view name,
                                          const LabelSet& labels) const {
   LabelSet sorted = labels;

@@ -117,32 +117,10 @@ struct MetricPoint {
   double p50 = 0;
   double p95 = 0;
   double p99 = 0;
-  /// Histogram-only per-bucket counts (size Histogram::kBuckets), so two
-  /// snapshots of a cumulative histogram can be subtracted into exact
-  /// per-run bucket counts (see HistogramDelta).
+  /// Histogram-only per-bucket counts (size Histogram::kBuckets), for the
+  /// Prometheus `_bucket` series.
   std::vector<int64_t> buckets;
 };
-
-/// \brief Statistics of the observations made *between* two snapshots of
-/// the same histogram. Count and sum are exact; min/max/percentiles are
-/// bucket-interpolated (accurate within one power of two), since cumulative
-/// extremes cannot be attributed to a single run.
-struct HistogramDeltaStats {
-  int64_t count = 0;
-  double sum = 0;
-  double min = 0;
-  double max = 0;
-  double p50 = 0;
-  double p95 = 0;
-  double p99 = 0;
-};
-
-/// \brief Per-run histogram statistics from the bucket-level difference of
-/// `after` minus `before`. `before == nullptr` means "empty histogram"
-/// (first run against a fresh registry). Both points must come from
-/// snapshots of the same instrument; non-histogram points yield {}.
-HistogramDeltaStats HistogramDelta(const MetricPoint& after,
-                                   const MetricPoint* before);
 
 /// \brief A consistent-enough copy of every registered instrument.
 struct MetricsSnapshot {

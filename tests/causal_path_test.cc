@@ -119,7 +119,8 @@ TEST(CausalGraphTest, AnalyzesLastCompleteRunOnly) {
   flight.RecordAt(260, Type::kTaskFinish, 0, 0, 0, 50, "t");
   flight.RecordAt(300, Type::kRunFinish, -1, -1, 1, 0, "real");
 
-  const CausalGraph graph = BuildCausalGraph(flight.Snapshot());
+  const std::vector<FlightEvent> events = flight.Snapshot();
+  const CausalGraph graph = BuildCausalGraph(LastCompleteRun(events));
   EXPECT_EQ(graph.run_start_us, 200);
   EXPECT_EQ(graph.run_finish_us, 300);
   EXPECT_EQ(graph.planned_tasks, 1);

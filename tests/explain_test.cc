@@ -1,8 +1,11 @@
-// Tests for the communication/skew profiler (CommMatrix), per-run histogram
-// deltas, and the stage-level ExplainReport (Session::ExplainLastRun).
+// Tests for the communication/skew profiler (CommMatrix) and the
+// stage-level ExplainReport (Session::ExplainLastRun).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -201,39 +204,6 @@ TEST(SimCommTest, CommMatrixTotalsMatchTheReport) {
   }
 }
 
-// --- HistogramDelta --------------------------------------------------------
-
-TEST(HistogramDeltaTest, DeltaCountsAndPercentilesAreBucketAccurate) {
-  obs::MetricsRegistry registry;
-  obs::Histogram* h = registry.GetHistogram("distme.test.delta");
-  h->Observe(1.0);
-  h->Observe(2.0);
-  const obs::MetricsSnapshot before = registry.Snapshot();
-  for (int i = 0; i < 100; ++i) h->Observe(4.0);
-  for (int i = 0; i < 5; ++i) h->Observe(64.0);
-  const obs::MetricsSnapshot after = registry.Snapshot();
-
-  const obs::MetricPoint* after_point = after.Find("distme.test.delta");
-  ASSERT_NE(after_point, nullptr);
-  const obs::HistogramDeltaStats delta =
-      obs::HistogramDelta(*after_point, before.Find("distme.test.delta"));
-  EXPECT_EQ(delta.count, 105);
-  EXPECT_DOUBLE_EQ(delta.sum, 100 * 4.0 + 5 * 64.0);
-  // 4.0 lands in the [4, 8) bucket; both p50 and p95 fall inside it.
-  EXPECT_GE(delta.p50, 4.0);
-  EXPECT_LE(delta.p50, 8.0);
-  EXPECT_GE(delta.p95, 4.0);
-  EXPECT_LE(delta.p95, 8.0);
-  // Extremes are bucket bounds tightened by the cumulative min/max.
-  EXPECT_DOUBLE_EQ(delta.min, 4.0);
-  EXPECT_DOUBLE_EQ(delta.max, 64.0);
-
-  // A null `before` means "since the histogram was created".
-  const obs::HistogramDeltaStats full =
-      obs::HistogramDelta(*after_point, nullptr);
-  EXPECT_EQ(full.count, 107);
-}
-
 // --- ExplainReport / Session::ExplainLastRun -------------------------------
 
 Result<core::Matrix> SessionMatrix(core::Session* session, int64_t rows,
@@ -312,6 +282,73 @@ TEST(ExplainTest, SecondRunIsExplainedByItsOwnDelta) {
               0.5 * static_cast<double>(first->comm.TotalBytes()) + 1.0);
 }
 
+// Nearest-rank percentile of the sorted spans: the smallest span with at
+// least `percent`% of the spans at or below it.
+double NearestRankSeconds(const std::vector<int64_t>& sorted_us,
+                          double percent) {
+  const double rank =
+      std::ceil(percent * static_cast<double>(sorted_us.size()) / 100.0);
+  return static_cast<double>(sorted_us[static_cast<size_t>(rank) - 1]) * 1e-6;
+}
+
+TEST(ExplainTest, TaskStatsAreTheRunsExactTaskSpans) {
+  core::Session::Options options;
+  options.cluster = ClusterConfig::Local(2, 2);
+  core::Session session(options);
+  auto a = SessionMatrix(&session, 64, 48, 71);
+  auto b = SessionMatrix(&session, 48, 40, 72);
+  ASSERT_TRUE(a.ok() && b.ok());
+  // Two runs, so the ring also holds tasks that are not the last run's.
+  ASSERT_TRUE(session.Multiply(*a, *b).ok());
+  const uint64_t seq_before = session.flight().TotalRecorded();
+  ASSERT_TRUE(session.Multiply(*a, *b).ok());
+
+  // The last run's task spans, task_finish − task_start, from the ring.
+  std::map<int64_t, int64_t> start_us;
+  std::vector<int64_t> spans_us;
+  for (const obs::FlightEvent& e : session.flight().Snapshot()) {
+    if (e.seq <= seq_before) continue;
+    if (e.type == obs::FlightEventType::kTaskStart) start_us[e.a] = e.ts_us;
+    if (e.type == obs::FlightEventType::kTaskFinish) {
+      ASSERT_EQ(start_us.count(e.a), 1u) << "task " << e.a;
+      spans_us.push_back(e.ts_us - start_us[e.a]);
+    }
+  }
+  ASSERT_GT(spans_us.size(), 1u);
+  std::sort(spans_us.begin(), spans_us.end());
+
+  auto explain = session.ExplainLastRun();
+  ASSERT_TRUE(explain.ok());
+  EXPECT_EQ(explain->tasks.count, session.history().back().num_tasks);
+  EXPECT_EQ(explain->tasks.count, static_cast<int64_t>(spans_us.size()));
+  EXPECT_DOUBLE_EQ(explain->tasks.p50_seconds,
+                   NearestRankSeconds(spans_us, 50));
+  EXPECT_DOUBLE_EQ(explain->tasks.p95_seconds,
+                   NearestRankSeconds(spans_us, 95));
+  EXPECT_DOUBLE_EQ(explain->tasks.max_seconds,
+                   static_cast<double>(spans_us.back()) * 1e-6);
+}
+
+TEST(ExplainTest, FailedRunExplainCarriesItsCommMatrix) {
+  core::Session::Options options;
+  options.cluster = ClusterConfig::Local(2, 2);
+  options.real.task_failure_rate = 1.0;  // every attempt crashes
+  options.real.max_task_attempts = 2;
+  core::Session session(options);
+  auto a = SessionMatrix(&session, 48, 40, 81);
+  auto b = SessionMatrix(&session, 40, 32, 82);
+  ASSERT_TRUE(a.ok() && b.ok());
+  EXPECT_FALSE(session.Multiply(*a, *b).ok());
+
+  auto explain = session.ExplainLastRun();
+  ASSERT_TRUE(explain.ok());
+  EXPECT_NE(explain->outcome, "OK");
+  // The attempts fetched their remote inputs before crashing.
+  EXPECT_GT(explain->comm.TotalBytes(), 0);
+  EXPECT_EQ(explain->comm.TotalBytes(),
+            session.history().back().comm.TotalBytes());
+}
+
 TEST(ExplainTest, CollectExplainOffMeansNoReport) {
   core::Session::Options options;
   options.cluster = ClusterConfig::Local(2, 2);
@@ -325,7 +362,7 @@ TEST(ExplainTest, CollectExplainOffMeansNoReport) {
 }
 
 TEST(ExplainTest, BuildFromSimReport) {
-  // Explain also works over a simulated run (no registry bracketing at all).
+  // Explain also works over a simulated run's report alone.
   const ClusterConfig cluster = ClusterConfig::Local(4, 2);
   engine::SimExecutor sim(cluster);
   const mm::MMProblem problem =
@@ -340,8 +377,9 @@ TEST(ExplainTest, BuildFromSimReport) {
   EXPECT_EQ(explain->method_name, "CPMM");
   EXPECT_GT(explain->predicted_total_bytes(), 0.0);
   EXPECT_GT(explain->measured_total_bytes(), 0.0);
-  // Without snapshots the task count falls back to the report's.
+  // Without flight events there are no task spans to take percentiles of.
   EXPECT_EQ(explain->tasks.count, report->num_tasks);
+  EXPECT_EQ(explain->tasks.p50_seconds, 0.0);
   EXPECT_TRUE(explain->comm.empty());
 }
 

@@ -163,54 +163,3 @@ TEST(GnmfSimTest, DependencyAwareShufflesLess) {
 
 }  // namespace
 }  // namespace distme::core
-
-namespace distme::core {
-namespace {
-
-TEST(GnmfExprTest, MatchesEagerGnmf) {
-  Session eager = Session([] {
-    Session::Options o;
-    o.cluster = ClusterConfig::Local(2, 2);
-    o.planner = std::make_shared<DistmePlanner>(
-        mm::OptimizerOptions{.enforce_parallelism = false});
-    return o;
-  }());
-  Session lazy = Session([] {
-    Session::Options o;
-    o.cluster = ClusterConfig::Local(2, 2);
-    o.planner = std::make_shared<DistmePlanner>(
-        mm::OptimizerOptions{.enforce_parallelism = false});
-    return o;
-  }());
-
-  GeneratorOptions g;
-  g.rows = 32;
-  g.cols = 24;
-  g.block_size = 8;
-  g.sparsity = 0.3;
-  g.seed = 99;
-  auto v1 = eager.Generate(g);
-  auto v2 = lazy.Generate(g);
-  ASSERT_TRUE(v1.ok() && v2.ok());
-
-  GnmfOptions options;
-  options.factor_dim = 8;
-  options.iterations = 3;
-  auto a = RunGnmf(&eager, *v1, options);
-  GnmfEvalStats stats;
-  auto b = RunGnmfExpr(&lazy, *v2, options, &stats);
-  ASSERT_TRUE(a.ok() && b.ok());
-  EXPECT_LT(DenseMatrix::MaxAbsDiff(a->w.Collect().ToDense(),
-                                    b->w.Collect().ToDense()),
-            1e-9);
-  EXPECT_LT(DenseMatrix::MaxAbsDiff(a->h.Collect().ToDense(),
-                                    b->h.Collect().ToDense()),
-            1e-9);
-  // Per iteration: 6 multiplications, and the two transposes are each
-  // reused once by the shared subtrees.
-  EXPECT_EQ(stats.multiplications, 6 * options.iterations);
-  EXPECT_GE(stats.nodes_reused, 2 * options.iterations);
-}
-
-}  // namespace
-}  // namespace distme::core

@@ -1,11 +1,12 @@
 // Tests for the GPU engine-timeline reconstruction (obs/gpu_timeline):
-// tag packing, FIFO begin/end pairing, run bracketing, and the overlap
+// tag packing, FIFO begin/end pairing, AnalyzeRun's run cut, and the overlap
 // accounting's hard invariants — per-engine busy + idle tiles the
 // device-active window exactly, and overlapped <= min(copy, kernel).
 
 #include <gtest/gtest.h>
 
 #include "gpu/device.h"
+#include "obs/critical_path.h"
 #include "obs/flight_recorder.h"
 #include "obs/gpu_timeline.h"
 
@@ -136,7 +137,7 @@ TEST(GpuTimelineTest, DevicesKeyedByNodeAndOrdinal) {
   EXPECT_EQ(analysis.run.kernel_launches, 3);
 }
 
-TEST(GpuTimelineTest, BracketsToTheLastCompleteRun) {
+TEST(GpuTimelineTest, AnalyzeRunBracketsToTheLastCompleteRun) {
   FlightRecorder flight(128);
   const int64_t tag = PackGpuTag(0, -1, 0);
   // A stale interval from an earlier run, then the bracketed run, then a
@@ -149,12 +150,15 @@ TEST(GpuTimelineTest, BracketsToTheLastCompleteRun) {
   flight.Record(Type::kRunFinish, -1, -1, 1, 0);
   Interval(&flight, Type::kGpuKernelBegin, Type::kGpuKernelEnd, 200, 260, 3,
            tag);
+  const std::vector<FlightEvent> events = flight.Snapshot();
 
-  const GpuTimelineAnalysis analysis = AnalyzeGpuTimeline(flight.Snapshot());
+  const GpuTimelineAnalysis analysis = AnalyzeRun(events, 0.0).gpu;
   ASSERT_EQ(analysis.devices.size(), 1u);
   EXPECT_EQ(analysis.devices[0].report.kernel_launches, 1);
   EXPECT_EQ(analysis.devices[0].report.window_begin_us, 100);
   EXPECT_EQ(analysis.devices[0].report.window_end_us, 180);
+  // AnalyzeGpuTimeline itself makes no cut: it analyzes what it is given.
+  EXPECT_EQ(AnalyzeGpuTimeline(events).run.kernel_launches, 3);
 }
 
 TEST(GpuTimelineTest, OrphanEndsAndUnmatchedBeginsAreDropped) {

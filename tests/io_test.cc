@@ -166,5 +166,48 @@ TEST_F(IoTest, EntryCountBeyondTheFileIsInvalid) {
   std::remove(path.c_str());
 }
 
+TEST_F(IoTest, ArrayHeaderBeyondTheFileIsInvalid) {
+  // rows x cols that overflows int64, is negative, or asks for more values
+  // than the data bytes can hold is refused before the dense buffer is
+  // allocated.
+  const std::string path = TempPath("array_dims.mtx");
+  auto read_with_dims = [&path](const char* dims) {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    std::fprintf(f, "%%%%MatrixMarket matrix array real general\n"
+                    "%s\n1\n2\n3\n4\n", dims);
+    std::fclose(f);
+    return ReadMatrixMarket(path, 2);
+  };
+  ASSERT_TRUE(read_with_dims("2 2").ok());
+  for (const char* dims :
+       {"4294967296 4294967296", "-2 -2", "1000 1000", "3 3"}) {
+    const auto result = read_with_dims(dims);
+    ASSERT_FALSE(result.ok()) << dims;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << dims;
+  }
+  std::remove(path.c_str());
+}
+
+TEST_F(IoTest, RowCountBeyondACsrRowPointerIsInvalid) {
+  // A CSR row pointer holds rows + 1 offsets even when nnz is 0, so a row
+  // count whose pointer cannot be sized is refused.
+  const std::string path = TempPath("coordinate_dims.mtx");
+  auto read_with_dims = [&path](const char* dims) {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    std::fprintf(f, "%%%%MatrixMarket matrix coordinate real general\n"
+                    "%s 0\n", dims);
+    std::fclose(f);
+    return ReadMatrixMarket(path, 2);
+  };
+  ASSERT_TRUE(read_with_dims("3 3").ok());
+  for (const char* dims : {"4611686018427387904 3", "9223372036854775807 3",
+                           "-3 3", "3 -3"}) {
+    const auto result = read_with_dims(dims);
+    ASSERT_FALSE(result.ok()) << dims;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << dims;
+  }
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace distme
