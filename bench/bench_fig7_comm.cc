@@ -56,7 +56,6 @@ int main(int argc, char** argv) {
     std::vector<std::string> row = {pt.label};
     double values[3] = {0, 0, 0};
     for (int s = 0; s < 3; ++s) {
-      const obs::CommMatrixSnapshot comm_before = obs.comm()->Snapshot();
       auto report = systems::RunMultiply(profiles[s], pt.problem, cluster);
       if (!report.ok()) {
         row.push_back(report.status().ToString());
@@ -71,11 +70,10 @@ int main(int argc, char** argv) {
                       report->elapsed_seconds);
       }
 
-      // Comm-matrix consistency: the per-link spread must add back up to
-      // the report's shuffle totals (the spread rounds per node, hence the
-      // small absolute slack).
-      const obs::CommMatrixSnapshot comm =
-          obs.comm()->Snapshot().Delta(comm_before);
+      // Comm-matrix consistency: the run's per-link spread must add back
+      // up to the report's shuffle totals (the spread rounds per node,
+      // hence the small absolute slack).
+      const obs::CommMatrixSnapshot& comm = report->comm;
       const double comm_total = static_cast<double>(comm.TotalBytes());
       const double slack =
           0.01 * values[s] +

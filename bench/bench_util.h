@@ -13,7 +13,6 @@
 
 #include "common/units.h"
 #include "engine/report.h"
-#include "obs/comm_matrix.h"
 #include "obs/export.h"
 #include "obs/flight_recorder.h"
 #include "obs/http_endpoint.h"
@@ -37,8 +36,9 @@ inline void Banner(const std::string& title) {
 ///                         track per task slot, a driver track for runs
 ///                         and stages); the ring then holds kTraceEvents
 ///                         events instead of 4096, so a bench run fits;
-///   --metrics-out=<path>  on destruction, dump the owned metrics registry
-///                         as a JSON array of metric points;
+///   --metrics-out=<path>  on destruction, write the owned metrics registry
+///                         in Prometheus text format (what /metrics
+///                         serves);
 ///   --bench-json=<path>   on destruction, write the results registered via
 ///                         AddResult() as machine-readable JSON (consumed
 ///                         by scripts/bench_baseline.py).
@@ -129,7 +129,7 @@ class BenchObs {
     }
     if (!metrics_out_.empty()) {
       const Status st = obs::WriteTextFile(
-          metrics_out_, obs::MetricsJson(metrics_.Snapshot()));
+          metrics_out_, obs::PrometheusText(metrics_.Snapshot()));
       if (st.ok()) {
         std::printf("\nmetrics written to %s\n", metrics_out_.c_str());
       } else {
@@ -152,7 +152,6 @@ class BenchObs {
   BenchObs& operator=(const BenchObs&) = delete;
 
   obs::MetricsRegistry* metrics() { return &metrics_; }
-  obs::CommMatrix* comm() { return &comm_; }
   obs::FlightRecorder* flight() { return &flight_; }
   /// \brief Bound scrape port, or -1 when --http-port was not given.
   int http_port() const {
@@ -183,13 +182,12 @@ class BenchObs {
   }
 
   /// \brief Copies the obs sinks into an executor options struct (any type
-  /// with `metrics` / `comm` / `flight` members, i.e. RealOptions and
-  /// SimOptions). RealOptions additionally gets the --flight-dump path so a
-  /// failed run drops its post-mortem immediately.
+  /// with `metrics` / `flight` members, i.e. RealOptions and SimOptions).
+  /// RealOptions additionally gets the --flight-dump path so a failed run
+  /// drops its post-mortem immediately.
   template <typename Options>
   void Wire(Options* options) {
     options->metrics = &metrics_;
-    options->comm = &comm_;
     if constexpr (requires { options->flight; }) {
       options->flight = &flight_;
     }
@@ -248,7 +246,6 @@ class BenchObs {
   std::string flight_dump_;
   std::vector<std::pair<std::string, double>> results_;
   obs::MetricsRegistry metrics_;
-  obs::CommMatrix comm_;
   obs::FlightRecorder flight_;
   std::unique_ptr<obs::HttpEndpoint> endpoint_;
 };

@@ -4,7 +4,9 @@
 #   2. a strict whole-tree -Werror build (error discipline: every dropped
 #      Status/Result fails here, via the class-level [[nodiscard]])
 #   3. an end-to-end trace: run a bench with --trace-out= and lint the JSON,
-#      failing if the bench's flight ring dropped any event
+#      failing if the bench's flight ring dropped any event; the same run's
+#      --metrics-out= Prometheus text must carry the shuffle counter the
+#      runs add to the registry when they end
 #   4. with --lint: distme-lint over src/ tests/ bench/ plus the linter's own
 #      fixture suite (see scripts/distme_lint.py)
 #   5. with --bench: the perf-regression baseline check (deterministic
@@ -47,9 +49,20 @@ cmake --build build-strict -j "$(nproc)"
 echo
 echo "== emitted trace passes trace_lint and dropped no flight event =="
 trace_out="$(mktemp /tmp/distme_trace.XXXXXX.json)"
-trap 'rm -f "$trace_out"' EXIT
-./build/bench/bench_validation_real --trace-out="$trace_out" >/dev/null
+metrics_out="$(mktemp /tmp/distme_metrics.XXXXXX.prom)"
+trap 'rm -f "$trace_out" "$metrics_out"' EXIT
+./build/bench/bench_validation_real --trace-out="$trace_out" \
+  --metrics-out="$metrics_out" >/dev/null
 python3 scripts/trace_lint.py "$trace_out"
+grep -qx '# TYPE distme_shuffle_repartition_bytes counter' "$metrics_out" || {
+  echo "check_tier1: --metrics-out= has no repartition-bytes counter"
+  exit 1
+}
+grep -Eq '^distme_shuffle_repartition_bytes [1-9]' "$metrics_out" || {
+  echo "check_tier1: --metrics-out= repartition bytes read 0"
+  exit 1
+}
+echo "metrics export: Prometheus text with a non-zero repartition-bytes sample"
 
 if [[ "$run_lint" -eq 1 ]]; then
   echo

@@ -130,8 +130,8 @@ if [[ "$run_sanitize" -eq 1 ]]; then
   echo
   echo "== sanitizer matrix: TSan over the concurrency + telemetry suites =="
   # stress_concurrency_test: every shared component hammered by writers
-  #   while one reader thread snapshots the registry, comm matrix and
-  #   flight ring; includes PipelinedMultiplyHammer, the regression test for
+  #   while one reader thread snapshots the registry and flight ring;
+  #   includes PipelinedMultiplyHammer, the regression test for
   #   the RealExecutor fetch-to-worker handoff (8-slot prefetch pipelines
   #   crossing one shared staging queue and the per-node prefetch gates).
   # live_telemetry_test: the scrape endpoint thread against session

@@ -34,9 +34,6 @@ finding is produced. Rules (see DESIGN.md "Correctness tooling"):
                      entry-for-entry in sync with FlightEventType: same
                      count, and each string is the snake_case of the
                      enumerator at the same index
-  flight-edge-sync   same invariant for the dependency-edge kinds: the
-                     kFlightEdgeKindNames table stays entry-for-entry in
-                     sync with FlightEdgeKind (before kNumKinds)
 
   Lock-discipline pass (src/ only; see DESIGN.md §"Lock discipline" and
   src/common/thread_annotations.h):
@@ -660,57 +657,6 @@ def rule_flight_enum_sync(f, rel, report):
                    f"wants \"{expected}\" — table and enum have drifted")
 
 
-FLIGHT_EDGE_ENUM = re.compile(
-    r"enum\s+class\s+FlightEdgeKind[^{]*\{(.*?)\}", re.DOTALL)
-FLIGHT_EDGE_NAMES = re.compile(
-    r"kFlightEdgeKindNames\[\]\s*=\s*\{(.*?)\};", re.DOTALL)
-
-
-def rule_flight_edge_sync(f, rel, report):
-    # Same invariant as flight-enum-sync, for the dependency-edge kinds: dumps
-    # carry edges by these strings and FlightEdgeKindFromName decodes them
-    # (in a live session and in distme_analyze alike), so a drifted entry
-    # silently reclassifies blocked time in every report.
-    if not rel.endswith("flight_recorder.cc"):
-        return
-    header_path = os.path.splitext(f.path)[0] + ".h"
-    try:
-        with open(header_path, "r", encoding="utf-8", errors="replace") as h:
-            header_text = h.read()
-    except OSError:
-        return  # flight-enum-sync already reports the missing header
-
-    enum_match = FLIGHT_EDGE_ENUM.search(header_text)
-    if not enum_match:
-        report(1, "flight-edge-sync",
-               "no `enum class FlightEdgeKind` in the sibling header")
-        return
-    enum_body = re.sub(r"//[^\n]*", "", enum_match.group(1))
-    enumerators = [e for e in re.findall(r"\bk[A-Z][A-Za-z0-9]*\b", enum_body)
-                   if e != "kNumKinds"]
-
-    raw_text = "\n".join(f.raw)
-    names_match = FLIGHT_EDGE_NAMES.search(raw_text)
-    if not names_match:
-        report(1, "flight-edge-sync",
-               "no `kFlightEdgeKindNames[] = {...}` string table in the .cc")
-        return
-    names = re.findall(r'"([^"]*)"', names_match.group(1))
-    table_line = raw_text[:names_match.start()].count("\n") + 1
-
-    if len(names) != len(enumerators):
-        report(table_line, "flight-edge-sync",
-               f"string table has {len(names)} entries but FlightEdgeKind "
-               f"has {len(enumerators)} enumerators before kNumKinds")
-        return
-    for idx, (enumerator, name) in enumerate(zip(enumerators, names)):
-        expected = snake_case(enumerator)
-        if name != expected:
-            report(table_line, "flight-edge-sync",
-                   f"entry {idx} is \"{name}\" but enumerator {enumerator} "
-                   f"wants \"{expected}\" — table and enum have drifted")
-
-
 # --- lock-discipline rules (src/ only) -------------------------------------
 
 ATOMIC_OP = re.compile(
@@ -804,7 +750,6 @@ RULES = [
     rule_include_order,
     rule_nodiscard_status,
     rule_flight_enum_sync,
-    rule_flight_edge_sync,
 ]
 
 LOCK_RULES = [
@@ -815,7 +760,7 @@ LOCK_RULES = [
 
 RULE_NAMES = [
     "pragma-once", "concurrency", "naked-new", "no-cout", "include-order",
-    "nodiscard-status", "flight-enum-sync", "flight-edge-sync",
+    "nodiscard-status", "flight-enum-sync",
     "lock-annotate", "lock-held", "atomic-order",
 ]
 

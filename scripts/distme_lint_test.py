@@ -197,28 +197,17 @@ class LintFixtureTest(unittest.TestCase):
         "  kGpuKernelBegin,\n"
         "  kGpuAlloc,\n"
         "  kNumTypes,\n"
-        "};\n"
-        "enum class FlightEdgeKind : uint8_t {\n"
-        "  kSlotWait = 0,\n"
-        "  kFetchWait,\n"
-        "  kExec,\n"
-        "  kNumKinds,\n"
         "};\n")
 
     FLIGHT_NAMES = ["run_start", "task_retry", "mem_high_water",
                     "gpu_h2d_begin", "gpu_d2h_end", "gpu_kernel_begin",
                     "gpu_alloc"]
 
-    def flight_cc(self, names,
-                  edge_names=("slot_wait", "fetch_wait", "exec")):
+    def flight_cc(self, names):
         entries = "".join(f'    "{n}",\n' for n in names)
-        edges = "".join(f'    "{n}",\n' for n in edge_names)
         return ('#include "obs/flight_recorder.h"\n'
                 "constexpr const char* kFlightEventTypeNames[] = {\n"
                 f"{entries}"
-                "};\n"
-                "constexpr const char* kFlightEdgeKindNames[] = {\n"
-                f"{edges}"
                 "};\n")
 
     def test_flight_table_in_sync_is_clean(self):
@@ -260,40 +249,6 @@ class LintFixtureTest(unittest.TestCase):
             [sys.executable, LINT, target],
             cwd=repo, capture_output=True, text=True)
         self.assertNotIn("[flight-enum-sync]", proc.stdout)
-        self.assertNotIn("[flight-edge-sync]", proc.stdout)
-
-    # --- flight-edge-sync -------------------------------------------------
-
-    def test_edge_table_in_sync_is_clean(self):
-        self.assert_clean({
-            "src/obs/flight_recorder.h": self.FLIGHT_HEADER,
-            "src/obs/flight_recorder.cc": self.flight_cc(
-                self.FLIGHT_NAMES)})
-
-    def test_edge_table_missing_entry(self):
-        self.assert_flags("flight-edge-sync", {
-            "src/obs/flight_recorder.h": self.FLIGHT_HEADER,
-            "src/obs/flight_recorder.cc": self.flight_cc(
-                self.FLIGHT_NAMES,
-                edge_names=("slot_wait", "fetch_wait"))})
-
-    def test_edge_table_misnamed_entry(self):
-        self.assert_flags("flight-edge-sync", {
-            "src/obs/flight_recorder.h": self.FLIGHT_HEADER,
-            "src/obs/flight_recorder.cc": self.flight_cc(
-                self.FLIGHT_NAMES,
-                edge_names=("slot_wait", "fetchwait", "exec"))})
-
-    def test_edge_enum_missing_from_header(self):
-        header_without_edges = (
-            "#pragma once\n"
-            "enum class FlightEventType : uint8_t {\n"
-            "  kRunStart = 0,\n"
-            "  kNumTypes,\n"
-            "};\n")
-        self.assert_flags("flight-edge-sync", {
-            "src/obs/flight_recorder.h": header_without_edges,
-            "src/obs/flight_recorder.cc": self.flight_cc(["run_start"])})
 
     # --- lock-annotate ----------------------------------------------------
 

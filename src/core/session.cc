@@ -144,7 +144,6 @@ Result<Matrix> Session::MultiplyWith(const Matrix& a, const Matrix& b,
   engine::RealOptions real = options_.real;
   real.mode = options_.mode;
   real.metrics = &metrics_;
-  real.comm = &comm_;
   real.flight = &flight_;
   real.flight_dump_path = options_.flight_dump_path;
   // This run's flight events are the ones recorded after this point.
@@ -205,12 +204,6 @@ Status Session::WriteTrace(const std::string& path) const {
   return obs::WriteTextFile(
       path, obs::ChromeTraceJson(flight_.Snapshot(), flight_.TotalRecorded(),
                                  flight_.capacity()));
-}
-
-std::string Session::RunReportJson() const {
-  if (history_.empty()) return "{}";
-  const obs::MetricsSnapshot snapshot = metrics_.Snapshot();
-  return engine::RunReportJson(history_.back(), &snapshot);
 }
 
 Result<Matrix> Session::Transpose(const Matrix& a) {

@@ -22,7 +22,6 @@
 #include "engine/report.h"
 #include "engine/sim_executor.h"
 #include "matrix/generator.h"
-#include "obs/comm_matrix.h"
 #include "obs/flight_recorder.h"
 #include "obs/http_endpoint.h"
 #include "obs/metrics.h"
@@ -158,21 +157,11 @@ class Session {
   /// `capacity` fields tell.
   [[nodiscard]] Status WriteTrace(const std::string& path) const;
 
-  /// \brief Structured JSON run report of the most recent multiplication,
-  /// including the full metrics snapshot. "{}" if nothing has run.
-  std::string RunReportJson() const;
-
   /// \brief Stage-level explain report of the most recent multiplication:
   /// predicted Table-2 bytes vs measured, per-stage timings, straggler
   /// percentiles, and the run's comm matrix. Errors if nothing has run or
   /// Options::collect_explain is off.
   [[nodiscard]] Result<engine::ExplainReport> ExplainLastRun() const;
-
-  /// \brief The session-owned communication matrix; every run's shuffle
-  /// traffic accumulates here (each run's own matrix is its MMReport::comm,
-  /// also in ExplainLastRun()).
-  obs::CommMatrix& comm() { return comm_; }
-  const obs::CommMatrix& comm() const { return comm_; }
 
   /// \brief The session-owned flight recorder (always on; see
   /// Options::flight_recorder_capacity).
@@ -195,7 +184,6 @@ class Session {
   std::vector<engine::MMReport> history_ DISTME_UNSHARED("driver-thread only");
   obs::MetricsRegistry metrics_
       DISTME_LOCKFREE("internally synchronized (registry mutex + atomics)");
-  obs::CommMatrix comm_ DISTME_LOCKFREE("internally synchronized (atomics)");
   std::optional<engine::ExplainReport> last_explain_
       DISTME_UNSHARED("driver-thread only; endpoint reads the JSON atomics");
   // Last completed run's explain JSON for the endpoint's GET /explain.

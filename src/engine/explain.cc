@@ -144,8 +144,18 @@ std::string ExplainReport::ToJson() const {
   w.Value(mode);
   w.Key("outcome");
   w.Value(outcome);
+  if (!error.empty()) {
+    w.Key("error");
+    w.Value(error);
+  }
   w.Key("elapsed_seconds");
   w.Value(elapsed_seconds);
+  w.Key("total_flops");
+  w.Value(total_flops);
+  w.Key("pcie_bytes");
+  w.Value(pcie_bytes);
+  w.Key("gpu_utilization");
+  w.Value(gpu_utilization);
   w.Key("predicted_total_bytes");
   w.Value(predicted_total_bytes());
   w.Key("measured_total_bytes");
@@ -235,7 +245,11 @@ Result<ExplainReport> BuildExplainReport(
   explain.method_name = report.method_name;
   explain.mode = ComputeModeName(report.mode);
   explain.outcome = report.outcome.ok() ? "OK" : report.OutcomeLabel();
+  if (!report.outcome.ok()) explain.error = report.outcome.ToString();
   explain.elapsed_seconds = report.elapsed_seconds;
+  explain.total_flops = report.total_flops;
+  explain.pcie_bytes = report.pcie_bytes;
+  explain.gpu_utilization = report.gpu_utilization;
   explain.predicted_task_memory_bytes = predicted.memory_per_task_bytes;
   explain.measured_peak_task_memory_bytes = report.peak_task_memory_bytes;
 

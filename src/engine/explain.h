@@ -53,7 +53,12 @@ struct ExplainReport {
   std::string method_name;
   std::string mode;
   std::string outcome;
+  /// The failed run's Status text; empty when the run succeeded.
+  std::string error;
   double elapsed_seconds = 0;
+  double total_flops = 0;      ///< MMReport::total_flops
+  double pcie_bytes = 0;       ///< MMReport::pcie_bytes (GPU modes)
+  double gpu_utilization = 0;  ///< MMReport::gpu_utilization (GPU modes)
 
   std::vector<ExplainStageRow> stages;
   double predicted_total_bytes() const;
@@ -64,8 +69,7 @@ struct ExplainReport {
 
   ExplainTaskStats tasks;
 
-  /// This run's per-link traffic, MMReport::comm (empty when no
-  /// CommMatrix was wired in).
+  /// This run's per-link traffic over the cluster's nodes, MMReport::comm.
   obs::CommMatrixSnapshot comm;
 
   /// Critical-path analysis of the run's causal DAG (only when flight

@@ -6,7 +6,6 @@
 #include <map>
 #include <mutex>
 #include <optional>
-#include <string_view>
 #include <thread>
 #include <unordered_map>
 #include <utility>
@@ -81,6 +80,88 @@ const char* RetryReason(const Status& status, bool injected) {
   }
 }
 
+// The registry counters a run adds its tally to when it ends, in the order
+// RunTally::Finish lists their values.
+constexpr const char* kTallyCounterNames[] = {
+    "distme.shuffle.repartition_bytes", "distme.shuffle.aggregation_bytes",
+    "distme.step.repartition_nanos",    "distme.step.multiply_nanos",
+    "distme.step.aggregation_nanos",    "distme.pipeline.prefetch_hits",
+    "distme.pipeline.prefetch_stalls",  "distme.pipeline.stall_nanos",
+    "distme.pipeline.backpressure_waits",
+};
+
+// What one run counts for its own report, in instruments the run owns, so
+// concurrent runs sharing a registry never read each other's traffic. The
+// caller's registry receives the totals once, when the run ends.
+struct RunTally {
+  // Registers the registry instruments Finish() adds to when the run
+  // starts, as the run's other instruments are, so the registry lists them
+  // from the first run on.
+  RunTally(int num_nodes, obs::MetricsRegistry* metrics)
+      : comm(num_nodes),
+        peak_memory_sink(metrics->GetGauge("distme.task.peak_memory_bytes")) {
+    for (size_t i = 0; i < counter_sinks.size(); ++i) {
+      counter_sinks[i] = metrics->GetCounter(kTallyCounterNames[i]);
+    }
+  }
+
+  // Builds the report's counted fields and adds them to the registry.
+  void Finish(MMReport* report, obs::MetricsRegistry* metrics) const {
+    report->comm = comm.Snapshot();
+    const int64_t repartition =
+        report->comm.TotalBytes(obs::CommStage::kRepartition);
+    const int64_t aggregation =
+        report->comm.TotalBytes(obs::CommStage::kAggregation);
+    report->repartition_bytes = static_cast<double>(repartition);
+    report->aggregation_bytes = static_cast<double>(aggregation);
+    report->steps.repartition_seconds =
+        1e-9 * static_cast<double>(repartition_nanos.Value());
+    report->steps.multiply_seconds =
+        1e-9 * static_cast<double>(multiply_nanos.Value());
+    report->steps.aggregation_seconds =
+        1e-9 * static_cast<double>(aggregation_nanos.Value());
+    report->task_retries = retries.Value();
+    report->peak_task_memory_bytes = static_cast<double>(peak_memory.Value());
+    report->pipeline.prefetch_hits = prefetch_hits.Value();
+    report->pipeline.prefetch_stalls = prefetch_stalls.Value();
+    report->pipeline.stall_seconds =
+        1e-9 * static_cast<double>(stall_nanos.Value());
+    report->pipeline.backpressure_waits = backpressure_waits.Value();
+
+    const int64_t counted[] = {
+        repartition,
+        aggregation,
+        repartition_nanos.Value(),
+        multiply_nanos.Value(),
+        aggregation_nanos.Value(),
+        prefetch_hits.Value(),
+        prefetch_stalls.Value(),
+        stall_nanos.Value(),
+        backpressure_waits.Value(),
+    };
+    static_assert(sizeof(counted) / sizeof(counted[0]) ==
+                  std::size(kTallyCounterNames));
+    for (size_t i = 0; i < counter_sinks.size(); ++i) {
+      counter_sinks[i]->Add(counted[i]);
+    }
+    peak_memory_sink->Set(peak_memory.Value());
+    SetCommGauges(report->comm, metrics);
+  }
+
+  obs::CommMatrix comm;
+  obs::Counter repartition_nanos;
+  obs::Counter multiply_nanos;
+  obs::Counter aggregation_nanos;
+  obs::Counter retries;
+  obs::Counter prefetch_hits;
+  obs::Counter prefetch_stalls;
+  obs::Counter stall_nanos;
+  obs::Counter backpressure_waits;
+  obs::Gauge peak_memory;  // largest single-task footprint
+  std::array<obs::Counter*, std::size(kTallyCounterNames)> counter_sinks{};
+  obs::Gauge* peak_memory_sink;
+};
+
 }  // namespace
 
 class RealExecutor::Impl {
@@ -125,61 +206,26 @@ class RealExecutor::Impl {
       mode = ComputeMode::kGpuBlock;
     }
 
-    // Observability: all per-run accounting lives in a metrics registry —
-    // either the caller's (typically session-owned, spanning many runs) or a
-    // private one. Counters are monotonic, so this run's contribution is the
-    // delta from the values captured here.
+    // Observability: the run counts what its report reads in `tally`, and
+    // adds those totals to the caller's registry (or a private one) when it
+    // ends. The registry's other instruments are updated as the run goes.
     obs::MetricsRegistry run_metrics;
     obs::MetricsRegistry* metrics =
         options.metrics != nullptr ? options.metrics : &run_metrics;
+    RunTally tally(config_.num_nodes, metrics);
     obs::FlightRecorder* flight = options.flight;
 
-    obs::Counter* repartition_bytes =
-        metrics->GetCounter("distme.shuffle.repartition_bytes");
-    obs::Counter* aggregation_bytes =
-        metrics->GetCounter("distme.shuffle.aggregation_bytes");
     obs::Counter* remote_fetches =
         metrics->GetCounter("distme.shuffle.remote_fetches");
     obs::Counter* serialize_roundtrips =
         metrics->GetCounter("distme.shuffle.serialize_roundtrips");
     obs::Counter* task_attempts = metrics->GetCounter("distme.task.attempts");
-    obs::Counter* fetch_nanos =
-        metrics->GetCounter("distme.step.repartition_nanos");
-    obs::Counter* compute_nanos =
-        metrics->GetCounter("distme.step.multiply_nanos");
-    obs::Counter* agg_nanos =
-        metrics->GetCounter("distme.step.aggregation_nanos");
     obs::Histogram* task_seconds =
         metrics->GetHistogram("distme.task.seconds");
-    obs::Gauge* peak_memory =
-        metrics->GetGauge("distme.task.peak_memory_bytes");
     obs::Gauge* used_memory =
         metrics->GetGauge("distme.memory.task_used_bytes");
     obs::Counter* oom_rejections =
         metrics->GetCounter("distme.memory.oom_rejections");
-    // Prefetch-pipeline instruments (stay at zero when prefetch_depth == 0).
-    obs::Counter* prefetch_hits =
-        metrics->GetCounter("distme.pipeline.prefetch_hits");
-    obs::Counter* prefetch_stalls =
-        metrics->GetCounter("distme.pipeline.prefetch_stalls");
-    obs::Counter* pipeline_stall_nanos =
-        metrics->GetCounter("distme.pipeline.stall_nanos");
-    obs::Counter* backpressure_waits =
-        metrics->GetCounter("distme.pipeline.backpressure_waits");
-
-    // One consistent cut over the whole registry (a single lock acquisition)
-    // rather than per-instrument reads: when two Sessions share a process,
-    // interleaved reads would attribute another run's traffic to this one.
-    const obs::MetricsSnapshot base = metrics->Snapshot();
-    // This run's growth of counter `name`, read from the later cut `cut`.
-    auto delta = [&base](const obs::MetricsSnapshot& cut,
-                         std::string_view name) {
-      return cut.TotalValue(name) - base.TotalValue(name);
-    };
-    obs::CommMatrixSnapshot comm_base;
-    if (options.comm != nullptr) comm_base = options.comm->Snapshot();
-    // Gauges describe the current run; the peak resets at each run start.
-    peak_memory->Set(0);
     metrics->GetGauge("distme.pipeline.prefetch_depth")
         ->Set(options.prefetch_depth);
 
@@ -249,13 +295,9 @@ class RealExecutor::Impl {
       bool crossed = false;
       DISTME_ASSIGN_OR_RETURN(Block blk, m.Get(idx, node, &crossed));
       if (crossed) {
-        const int64_t wire = SerializedBlockBytes(blk);
-        repartition_bytes->Add(wire);
+        tally.comm.Record(obs::CommStage::kRepartition, m.NodeOf(idx), node,
+                          SerializedBlockBytes(blk));
         remote_fetches->Add(1);
-        if (options.comm != nullptr) {
-          options.comm->Record(obs::CommStage::kRepartition, m.NodeOf(idx),
-                               node, wire);
-        }
         if (options.serialize_transfers) {
           // Round-trip through the wire format, as a real shuffle would.
           serialize_roundtrips->Add(1);
@@ -281,7 +323,7 @@ class RealExecutor::Impl {
       if (options.enforce_task_memory) {
         staged.tracker = std::make_unique<MemoryTracker>(
             "task " + std::to_string(task.id), config_.task_memory_bytes);
-        staged.tracker->AttachMetrics(used_memory, peak_memory,
+        staged.tracker->AttachMetrics(used_memory, &tally.peak_memory,
                                       oom_rejections);
       }
       MemoryTracker* tracker_ptr = staged.tracker.get();
@@ -315,7 +357,7 @@ class RealExecutor::Impl {
         if (st.ok()) st = need_b(v.k, v.j);
         if (!st.ok()) staged.fetch_status = std::move(st);
       });
-      fetch_nanos->Add(
+      tally.repartition_nanos.Add(
           static_cast<int64_t>(fetch_clock.ElapsedSeconds() * 1e9));
       if (!staged.fetch_status.ok()) {
         staged.inputs.reset();
@@ -335,12 +377,8 @@ class RealExecutor::Impl {
       }
       const int reducer_node = output->NodeOf(idx);
       if (reducer_node != producer_node) {
-        const int64_t wire = SerializedBlockBytes(block);
-        aggregation_bytes->Add(wire);
-        if (options.comm != nullptr) {
-          options.comm->Record(obs::CommStage::kAggregation, producer_node,
-                               reducer_node, wire);
-        }
+        tally.comm.Record(obs::CommStage::kAggregation, producer_node,
+                          reducer_node, SerializedBlockBytes(block));
         if (options.serialize_transfers) {
           serialize_roundtrips->Add(1);
           DISTME_ASSIGN_OR_RETURN(block,
@@ -439,11 +477,11 @@ class RealExecutor::Impl {
         });
         DISTME_RETURN_NOT_OK(voxel_status);
       }
-      compute_nanos->Add(
+      tally.multiply_nanos.Add(
           static_cast<int64_t>(compute_clock.ElapsedSeconds() * 1e9));
       if (flight != nullptr && gpu_seconds > 0) {
-        flight->RecordEdge(obs::FlightEdgeKind::kGpuWait, node, slot, task.id,
-                           static_cast<int64_t>(gpu_seconds * 1e6));
+        flight->Record(obs::FlightEventType::kGpuWait, node, slot, task.id,
+                       static_cast<int64_t>(gpu_seconds * 1e6));
       }
       return Status::OK();
     };
@@ -482,9 +520,9 @@ class RealExecutor::Impl {
         const double fetch_wait_seconds =
             pipelined ? pop_stall_seconds : fetch_clock.ElapsedSeconds();
         if (flight != nullptr) {
-          flight->RecordEdge(obs::FlightEdgeKind::kFetchWait, node, slot,
-                             task.id,
-                             static_cast<int64_t>(fetch_wait_seconds * 1e6));
+          flight->Record(obs::FlightEventType::kFetchWait, node, slot,
+                         task.id,
+                         static_cast<int64_t>(fetch_wait_seconds * 1e6));
         }
         st = staged.fetch_status;
         bool injected = staged.injected;
@@ -536,6 +574,7 @@ class RealExecutor::Impl {
                             << st.ToString();
         metrics->GetCounter("distme.task.retries", {{"reason", reason}})
             ->Add(1);
+        tally.retries.Add(1);
       }
       return st;
     };
@@ -578,7 +617,7 @@ class RealExecutor::Impl {
           const mm::LocalTask& task = tasks[static_cast<size_t>(t)];
           const int node = static_cast<int>(task.id % config_.num_nodes);
           PrefetchGate& gate = *gates[static_cast<size_t>(node)];
-          if (gate.WaitForHeadroom()) backpressure_waits->Add(1);
+          if (gate.WaitForHeadroom()) tally.backpressure_waits.Add(1);
           StagedTask staged = stage(
               task,
               CrashDecision(task.id, /*attempt=*/0, options.task_failure_rate));
@@ -612,11 +651,10 @@ class RealExecutor::Impl {
             gate_of(prefetched).Release(prefetched.staged_bytes);
             if (stalled) {
               stall_seconds = pop_clock.ElapsedSeconds();
-              prefetch_stalls->Add(1);
-              pipeline_stall_nanos->Add(
-                  static_cast<int64_t>(stall_seconds * 1e9));
+              tally.prefetch_stalls.Add(1);
+              tally.stall_nanos.Add(static_cast<int64_t>(stall_seconds * 1e9));
             } else {
-              prefetch_hits->Add(1);
+              tally.prefetch_hits.Add(1);
             }
           } else {
             t = next_task.fetch_add(1, std::memory_order_relaxed);
@@ -647,29 +685,17 @@ class RealExecutor::Impl {
     result.report.method_name = method.name();
     result.report.mode = mode;
     result.report.num_tasks = static_cast<int64_t>(tasks.size());
-    // Every transfer is recorded by now (aggregation finalize is local).
-    if (options.comm != nullptr) {
-      result.report.comm = options.comm->Snapshot().Delta(comm_base);
-    }
     if (pipelined_run) {
-      const obs::MetricsSnapshot pipe_cut = metrics->Snapshot();
-      PipelineStats& pipe = result.report.pipeline;
-      pipe.prefetch_depth = options.prefetch_depth;
-      pipe.prefetch_hits = delta(pipe_cut, "distme.pipeline.prefetch_hits");
-      pipe.prefetch_stalls = delta(pipe_cut, "distme.pipeline.prefetch_stalls");
-      pipe.stall_seconds =
-          1e-9 * static_cast<double>(
-                     delta(pipe_cut, "distme.pipeline.stall_nanos"));
-      pipe.backpressure_waits =
-          delta(pipe_cut, "distme.pipeline.backpressure_waits");
-      pipe.queue_high_water = static_cast<int64_t>(staging.high_water());
+      result.report.pipeline.prefetch_depth = options.prefetch_depth;
+      result.report.pipeline.queue_high_water =
+          static_cast<int64_t>(staging.high_water());
       metrics->GetGauge("distme.pipeline.queue_high_water")
-          ->Set(pipe.queue_high_water);
+          ->Set(result.report.pipeline.queue_high_water);
     }
 
     if (!failure.ok()) {
-      result.report.task_retries =
-          delta(metrics->Snapshot(), "distme.task.retries");
+      result.report.outcome = failure;
+      tally.Finish(&result.report, metrics);
       if (flight != nullptr) {
         flight->Record(obs::FlightEventType::kRunFinish, /*node=*/-1,
                        /*slot=*/-1, static_cast<int64_t>(tasks.size()),
@@ -687,7 +713,6 @@ class RealExecutor::Impl {
           }
         }
       }
-      result.report.outcome = failure;
       result.output = std::move(output);
       return result;
     }
@@ -716,32 +741,10 @@ class RealExecutor::Impl {
       flight->Record(obs::FlightEventType::kStageEnd, /*node=*/-1,
                      /*slot=*/-1, 0, 0, "aggregation");
     }
-    agg_nanos->Add(static_cast<int64_t>(agg_clock.ElapsedSeconds() * 1e9));
-
-    if (options.comm != nullptr) SetCommGauges(result.report.comm, metrics);
-
-    // The report's timings and byte counters are views over the registry —
-    // the registry is the source of truth, not hand-threaded accumulators.
-    // As with `base`, one snapshot gives a consistent cut for the deltas.
-    const obs::MetricsSnapshot final_cut = metrics->Snapshot();
-    result.report.outcome = Status::OK();
+    tally.aggregation_nanos.Add(
+        static_cast<int64_t>(agg_clock.ElapsedSeconds() * 1e9));
+    tally.Finish(&result.report, metrics);
     result.report.elapsed_seconds = total_clock.ElapsedSeconds();
-    auto delta_seconds = [&](std::string_view nanos_counter) {
-      return 1e-9 * static_cast<double>(delta(final_cut, nanos_counter));
-    };
-    result.report.task_retries = delta(final_cut, "distme.task.retries");
-    result.report.steps.repartition_seconds =
-        delta_seconds("distme.step.repartition_nanos");
-    result.report.steps.multiply_seconds =
-        delta_seconds("distme.step.multiply_nanos");
-    result.report.steps.aggregation_seconds =
-        delta_seconds("distme.step.aggregation_nanos");
-    result.report.repartition_bytes = static_cast<double>(
-        delta(final_cut, "distme.shuffle.repartition_bytes"));
-    result.report.aggregation_bytes = static_cast<double>(
-        delta(final_cut, "distme.shuffle.aggregation_bytes"));
-    result.report.peak_task_memory_bytes = static_cast<double>(
-        final_cut.TotalValue("distme.task.peak_memory_bytes"));
     if (config_.has_gpu && mode != ComputeMode::kCpu) {
       double pcie = 0;
       double kernel_busy = 0;

@@ -15,7 +15,6 @@
 #include "engine/distributed_matrix.h"
 #include "engine/report.h"
 #include "mm/method.h"
-#include "obs/comm_matrix.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 
@@ -75,13 +74,12 @@ struct RealOptions {
   /// memory budget.
   int64_t prefetch_staging_bytes = 0;
   /// Metrics registry the run reports into (e.g. the owning Session's).
-  /// When null, the executor uses a private per-run registry; either way the
-  /// MMReport counters are derived from registry instruments.
+  /// The run counts its MMReport's numbers — shuffle bytes and per-link
+  /// comm matrix, step clocks, retries, pipeline counters, peak task
+  /// memory — itself, and adds them here once, when it ends (failed runs
+  /// included); other instruments advance as the run goes. Null: a private
+  /// per-run registry.
   obs::MetricsRegistry* metrics = nullptr;
-  /// Per-link shuffle accounting: every remote block fetch (repartition) and
-  /// cross-node aggregation emit is recorded with its true (src, dst)
-  /// endpoints. Null (the default) costs one branch per transfer.
-  obs::CommMatrix* comm = nullptr;
   /// Flight recorder: run/task lifecycle, stage barriers, wait edges and
   /// GPU device intervals land in its ring. Null (the default) costs one
   /// branch per would-be event.

@@ -74,8 +74,10 @@ struct MMReport {
   double pcie_bytes = 0;        ///< host<->device traffic (GPU modes)
   double gpu_utilization = 0;   ///< kernel-busy fraction of the multiply step
   PipelineStats pipeline;       ///< prefetch pipeline counters (real executor)
-  /// This run's per-link traffic: the delta of the executor's CommMatrix
-  /// over the run, failed runs included (empty when none was wired in).
+  /// This run's per-link traffic over the cluster's nodes, from the
+  /// CommMatrix the executor builds for the run, failed runs included. The
+  /// byte fields above are its stage totals (the real executor's exactly;
+  /// the simulator's up to its per-node rounding).
   obs::CommMatrixSnapshot comm;
 
   /// \brief Short outcome label for bench tables: "123.4s" or "O.O.M." etc.
@@ -86,13 +88,5 @@ struct MMReport {
 /// comm matrix (MMReport::comm).
 void SetCommGauges(const obs::CommMatrixSnapshot& comm,
                    obs::MetricsRegistry* metrics);
-
-/// \brief Structured JSON run report: every MMReport field but the comm
-/// matrix (explain renders that), plus — when a metrics snapshot is
-/// supplied — the full `distme.*` metric set, including the labeled
-/// `distme.task.retries{reason}` breakdown. This supersedes hand-formatting
-/// report fields in bench/table code.
-std::string RunReportJson(const MMReport& report,
-                          const obs::MetricsSnapshot* metrics = nullptr);
 
 }  // namespace distme::engine

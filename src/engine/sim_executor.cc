@@ -180,19 +180,22 @@ Result<MMReport> SimExecutor::Run(const mm::MMProblem& problem,
   // they can optionally be dispatched longest-first (LPT).
   std::vector<double> task_durations;
 
-  obs::CommMatrixSnapshot comm_base;
-  if (options.comm != nullptr) comm_base = options.comm->Snapshot();
-
+  // The run's per-link traffic. The simulator has no real endpoints, so
+  // each task's modelled transfer volume is spread over the uniform-hash
+  // block homes: inputs arrive at the task's node (id % N) from all N
+  // sources, aggregation output leaves it toward all N reducers. Totals
+  // match the report's shuffle bytes up to the per-node rounding.
+  const int n = config_.num_nodes;
+  obs::CommMatrix comm(n);
   double repartition_bytes = method.ExtraRepartitionBytes(problem);
   // Layout-conversion repartition (ExtraRepartitionBytes) is an all-to-all
   // re-shuffle: spread it evenly over every (src, dst) pair.
-  if (options.comm != nullptr && repartition_bytes > 0) {
-    const int n = config_.num_nodes;
+  if (repartition_bytes > 0) {
     const int64_t per_pair = std::llround(
         repartition_bytes / (static_cast<double>(n) * static_cast<double>(n)));
     for (int src = 0; src < n; ++src) {
       for (int dst = 0; dst < n; ++dst) {
-        options.comm->Record(obs::CommStage::kRepartition, src, dst, per_pair);
+        comm.Record(obs::CommStage::kRepartition, src, dst, per_pair);
       }
     }
   }
@@ -261,25 +264,20 @@ Result<MMReport> SimExecutor::Run(const mm::MMProblem& problem,
         (q.a_in_bytes + q.b_in_bytes) * options.repartition_factor;
     if (task.b_broadcast) broadcast_bytes_per_node = q.b_in_bytes;
     if (task.a_broadcast) broadcast_bytes_per_node = q.a_in_bytes;
-    if (options.comm != nullptr) {
-      // Inputs converge on the task's node from uniform-hash block homes;
-      // aggregation output fans out toward the hash-partitioned reducers.
-      const int n = config_.num_nodes;
-      const int task_node = static_cast<int>(task.id % n);
-      const int64_t in_per_src = std::llround(
-          (q.a_in_bytes + q.b_in_bytes) * options.repartition_factor /
-          static_cast<double>(n));
-      for (int src = 0; src < n; ++src) {
-        options.comm->Record(obs::CommStage::kRepartition, src, task_node,
-                             in_per_src);
-      }
-      if (method.NeedsAggregation(problem)) {
-        const int64_t out_per_dst =
-            std::llround(q.c_out_bytes / static_cast<double>(n));
-        for (int dst = 0; dst < n; ++dst) {
-          options.comm->Record(obs::CommStage::kAggregation, task_node, dst,
-                               out_per_dst);
-        }
+    // Inputs converge on the task's node from uniform-hash block homes;
+    // aggregation output fans out toward the hash-partitioned reducers.
+    const int task_node = static_cast<int>(task.id % n);
+    const int64_t in_per_src =
+        std::llround((q.a_in_bytes + q.b_in_bytes) *
+                     options.repartition_factor / static_cast<double>(n));
+    for (int src = 0; src < n; ++src) {
+      comm.Record(obs::CommStage::kRepartition, src, task_node, in_per_src);
+    }
+    if (method.NeedsAggregation(problem)) {
+      const int64_t out_per_dst =
+          std::llround(q.c_out_bytes / static_cast<double>(n));
+      for (int dst = 0; dst < n; ++dst) {
+        comm.Record(obs::CommStage::kAggregation, task_node, dst, out_per_dst);
       }
     }
 
@@ -422,15 +420,6 @@ Result<MMReport> SimExecutor::Run(const mm::MMProblem& problem,
   report.steps.multiply_seconds =
       std::max(waves.Makespan(), dispatch_seconds) +
       static_cast<double>(method.SyncSteps(problem)) * hw.task_launch_overhead;
-  if (options.fetch_overlap > 0.0) {
-    // Prefetch pipeline: a fetch_overlap fraction of the repartition step
-    // hides behind the multiply waves — but never more than the multiply
-    // step provides cover for. Bytes stay untouched.
-    const double overlap = std::min(1.0, options.fetch_overlap);
-    const double hidden = std::min(report.steps.repartition_seconds * overlap,
-                                   report.steps.multiply_seconds);
-    report.steps.repartition_seconds -= hidden;
-  }
 
   if (method.NeedsAggregation(problem)) {
     // reduceByKey inherits the parent partition count, capped by the number
@@ -486,9 +475,7 @@ Result<MMReport> SimExecutor::Run(const mm::MMProblem& problem,
         Status::Timeout(method.name() + ": exceeded the wall-clock limit");
   }
 
-  if (options.comm != nullptr) {
-    report.comm = options.comm->Snapshot().Delta(comm_base);
-  }
+  report.comm = comm.Snapshot();
   if (options.metrics != nullptr) {
     obs::MetricsRegistry* m = options.metrics;
     m->GetCounter("distme.sim.runs")->Add(1);
@@ -504,7 +491,7 @@ Result<MMReport> SimExecutor::Run(const mm::MMProblem& problem,
     }
     obs::Histogram* h = m->GetHistogram("distme.sim.task_seconds");
     for (double d : task_durations) h->Observe(d);
-    if (options.comm != nullptr) SetCommGauges(report.comm, m);
+    SetCommGauges(report.comm, m);
   }
   if (sim_timeline) {
     EmitSimFlightTimeline(options.flight, num_tasks, report, task_durations,

@@ -11,7 +11,6 @@
 #include "common/result.h"
 #include "engine/report.h"
 #include "mm/method.h"
-#include "obs/comm_matrix.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 
@@ -39,26 +38,14 @@ struct SimOptions {
   /// Multiplier on the per-job fixed overhead (MPI systems like ScaLAPACK
   /// have near-zero job setup compared with Spark's driver/stage setup).
   double job_overhead_factor = 1.0;
-  /// Fraction of the repartition (input fetch) step hidden behind compute,
-  /// in [0, 1]. Models the real executor's prefetch pipeline: at depth > 0
-  /// the fetch stage overlaps the multiply waves, so only the un-hidden
-  /// remainder of the repartition time reaches the modelled timeline (it
-  /// can never hide more than the multiply step itself). Repartition
-  /// *bytes* are unchanged — the pipeline moves the same blocks, earlier.
-  double fetch_overlap = 0.0;
   /// Longest-processing-time task scheduling: dispatch the heaviest tasks
   /// first instead of plan order. Implements the paper's future-work item
   /// on load balancing across cuboids of different sizes/sparsities;
   /// shrinks the wave-imbalance tail when task durations are skewed.
   bool lpt_scheduling = false;
-  /// Optional metrics sink: per-run `distme.sim.*` counters/histograms.
+  /// Optional metrics sink: per-run `distme.sim.*` counters/histograms and
+  /// the `distme.comm.*` gauges of the run's comm matrix (MMReport::comm).
   obs::MetricsRegistry* metrics = nullptr;
-  /// Optional per-link shuffle accounting. The simulator has no real
-  /// endpoints, so each task's modelled transfer volume is spread over the
-  /// uniform-hash block homes: inputs arrive at the task's node (id % N)
-  /// from all N sources, aggregation output leaves it toward all N
-  /// reducers. Totals match the report's shuffle bytes (± rounding).
-  obs::CommMatrix* comm = nullptr;
   /// Optional flight recorder. By default the simulator emits run-level
   /// events only (run_start with the task count, run_finish with the
   /// outcome) — paper-scale plans have millions of simulated tasks and

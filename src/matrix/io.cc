@@ -3,6 +3,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/units.h"
@@ -127,11 +128,10 @@ Result<BlockGrid> ReadMatrixMarket(const std::string& path,
                              std::to_string(nnz) + " entries in " +
                              std::to_string(data_bytes) + " bytes of data");
     }
-    // The CSR row pointer holds rows + 1 offsets, whatever nnz is; a row
-    // count whose pointer's byte size overflows cannot be allocated.
-    int64_t row_ptr_bytes = 0;
-    if (rows < 0 || cols < 0 || rows == INT64_MAX ||
-        !CheckedProduct(rows + 1, int64_t{sizeof(int64_t)}, &row_ptr_bytes)) {
+    // Nothing is sized by the dimensions (entries go straight into their
+    // blocks), but their element count must be representable.
+    int64_t elements = 0;
+    if (!CheckedProduct(rows, cols, &elements)) {
       std::fclose(f);
       return Status::Invalid("coordinate header claims " +
                              std::to_string(rows) + " x " +
@@ -156,8 +156,9 @@ Result<BlockGrid> ReadMatrixMarket(const std::string& path,
     return BlockGrid::FromDense(dense, block_size);
   }
 
-  std::vector<Triplet> triplets;
-  triplets.reserve(static_cast<size_t>(nnz));
+  // Each entry goes into its block's bucket, block-local and 0-based.
+  BlockGrid grid(BlockedShape{rows, cols, block_size});
+  std::unordered_map<BlockIndex, std::vector<Triplet>, BlockIndexHash> buckets;
   for (int64_t n = 0; n < nnz; ++n) {
     int64_t r = 0;
     int64_t c = 0;
@@ -166,13 +167,28 @@ Result<BlockGrid> ReadMatrixMarket(const std::string& path,
       std::fclose(f);
       return Status::IOError("truncated coordinate data");
     }
-    triplets.push_back({r - 1, c - 1, v});  // 1-based → 0-based
+    if (r < 1 || r > rows || c < 1 || c > cols) {
+      std::fclose(f);
+      return Status::Invalid("entry (" + std::to_string(r) + ", " +
+                             std::to_string(c) + ") lies outside the " +
+                             std::to_string(rows) + " x " +
+                             std::to_string(cols) + " header");
+    }
+    const BlockIndex idx{(r - 1) / block_size, (c - 1) / block_size};
+    buckets[idx].push_back(
+        {r - 1 - idx.i * block_size, c - 1 - idx.j * block_size, v});
   }
   std::fclose(f);
-  DISTME_ASSIGN_OR_RETURN(CsrMatrix csr,
-                          CsrMatrix::FromTriplets(rows, cols,
-                                                  std::move(triplets)));
-  return BlockGrid::FromCsr(csr, block_size);
+  for (auto& [idx, triplets] : buckets) {
+    DISTME_ASSIGN_OR_RETURN(
+        CsrMatrix block,
+        CsrMatrix::FromTriplets(grid.shape().BlockRowsAt(idx.i),
+                                grid.shape().BlockColsAt(idx.j),
+                                std::move(triplets)));
+    if (block.nnz() == 0) continue;  // its entries summed to zero
+    DISTME_RETURN_NOT_OK(grid.Put(idx, Block::Sparse(std::move(block))));
+  }
+  return grid;
 }
 
 }  // namespace distme

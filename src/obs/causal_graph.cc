@@ -61,19 +61,16 @@ CausalGraph BuildCausalGraph(std::span<const FlightEvent> run) {
         }
         break;
       }
-      case FlightEventType::kDepEdge: {
+      case FlightEventType::kFetchWait: {
         CausalTask& t = tasks[e.a];
         t.task_id = e.a;
-        switch (FlightEdgeKindFromName(e.detail)) {
-          case FlightEdgeKind::kFetchWait:
-            t.fetch_wait_us = FlightSum(t.fetch_wait_us, e.b);
-            break;
-          case FlightEdgeKind::kGpuWait:
-            t.gpu_wait_us = FlightSum(t.gpu_wait_us, e.b);
-            break;
-          default:
-            break;
-        }
+        t.fetch_wait_us = FlightSum(t.fetch_wait_us, e.b);
+        break;
+      }
+      case FlightEventType::kGpuWait: {
+        CausalTask& t = tasks[e.a];
+        t.task_id = e.a;
+        t.gpu_wait_us = FlightSum(t.gpu_wait_us, e.b);
         break;
       }
       case FlightEventType::kStageBegin: {

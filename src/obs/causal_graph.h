@@ -1,7 +1,7 @@
 // CausalGraph: a run reconstructed as a weighted task DAG from a
 // flight-recorder snapshot. The executors emit plain events (task start /
-// finish, stage begin / end) plus `kDepEdge` blocked-time edges; this
-// module folds the event stream back into per-task nodes with a
+// finish, stage begin / end) plus `fetch_wait` / `gpu_wait` blocked-time
+// edges; this module folds the event stream back into per-task nodes with a
 // blocked-time decomposition and per-stage barrier intervals. It is the
 // input to the critical-path analysis (obs/critical_path.h), live and in
 // the distme_analyze tool alike.

@@ -1,9 +1,7 @@
 #include "obs/comm_matrix.h"
 
 #include <algorithm>
-#include <cstdio>
 
-#include "common/units.h"
 #include "obs/export.h"
 
 namespace distme::obs {
@@ -18,51 +16,34 @@ const char* CommStageName(CommStage stage) {
   return "?";
 }
 
-CommMatrix::CommMatrix()
-    : cells_(std::make_unique<std::atomic<int64_t>[]>(
-          kNumCommStages * kMaxNodes * kMaxNodes)) {
-  Reset();
-}
+CommMatrix::CommMatrix(int num_nodes)
+    : num_nodes_(std::max(num_nodes, 0)),
+      cells_(static_cast<size_t>(kNumCommStages) *
+             static_cast<size_t>(num_nodes_) *
+             static_cast<size_t>(num_nodes_)) {}
 
 void CommMatrix::Record(CommStage stage, int src, int dst, int64_t bytes) {
-  if (bytes <= 0 || src < 0 || dst < 0) return;
-  src %= kMaxNodes;
-  dst %= kMaxNodes;
+  if (bytes <= 0 || src < 0 || dst < 0 || src >= num_nodes_ ||
+      dst >= num_nodes_) {
+    return;
+  }
   cells_[CellIndex(stage, src, dst)].fetch_add(bytes,
                                                std::memory_order_relaxed);
-  const int hi = src > dst ? src : dst;
-  int current = max_node_.load(std::memory_order_relaxed);
-  while (current < hi &&
-         !max_node_.compare_exchange_weak(current, hi,
-                                          std::memory_order_relaxed)) {
-  }
 }
 
 CommMatrixSnapshot CommMatrix::Snapshot() const {
   CommMatrixSnapshot snapshot;
-  snapshot.num_nodes = num_nodes();
-  const int n = snapshot.num_nodes;
-  for (int s = 0; s < kNumCommStages; ++s) {
-    snapshot.cells[static_cast<size_t>(s)].resize(
-        static_cast<size_t>(n) * static_cast<size_t>(n));
-    for (int src = 0; src < n; ++src) {
-      for (int dst = 0; dst < n; ++dst) {
-        snapshot.cells[static_cast<size_t>(s)]
-                      [static_cast<size_t>(src) * static_cast<size_t>(n) +
-                       static_cast<size_t>(dst)] =
-            cells_[CellIndex(static_cast<CommStage>(s), src, dst)].load(
-                std::memory_order_relaxed);
-      }
+  snapshot.num_nodes = num_nodes_;
+  const size_t per_stage =
+      static_cast<size_t>(num_nodes_) * static_cast<size_t>(num_nodes_);
+  for (size_t s = 0; s < static_cast<size_t>(kNumCommStages); ++s) {
+    snapshot.cells[s].reserve(per_stage);
+    for (size_t i = 0; i < per_stage; ++i) {
+      snapshot.cells[s].push_back(
+          cells_[s * per_stage + i].load(std::memory_order_relaxed));
     }
   }
   return snapshot;
-}
-
-void CommMatrix::Reset() {
-  for (size_t i = 0;
-       i < static_cast<size_t>(kNumCommStages) * kMaxNodes * kMaxNodes; ++i) {
-    cells_[i].store(0, std::memory_order_relaxed);
-  }
 }
 
 int64_t CommMatrixSnapshot::Bytes(CommStage stage, int src, int dst) const {
@@ -127,71 +108,6 @@ double CommMatrixSnapshot::SkewRatio() const {
   return static_cast<double>(MaxLinkBytes()) / mean;
 }
 
-CommMatrixSnapshot CommMatrixSnapshot::Delta(
-    const CommMatrixSnapshot& before) const {
-  CommMatrixSnapshot delta = *this;
-  for (int s = 0; s < kNumCommStages; ++s) {
-    for (int src = 0; src < before.num_nodes; ++src) {
-      for (int dst = 0; dst < before.num_nodes; ++dst) {
-        if (src >= num_nodes || dst >= num_nodes) continue;
-        delta.cells[static_cast<size_t>(s)]
-                   [static_cast<size_t>(src) *
-                        static_cast<size_t>(num_nodes) +
-                    static_cast<size_t>(dst)] -=
-            before.cells[static_cast<size_t>(s)]
-                        [static_cast<size_t>(src) *
-                             static_cast<size_t>(before.num_nodes) +
-                         static_cast<size_t>(dst)];
-      }
-    }
-  }
-  return delta;
-}
-
-std::string CommMatrixSnapshot::ToTable() const {
-  std::string out;
-  char buf[128];
-  if (empty()) return "comm matrix: no traffic recorded\n";
-  for (int s = 0; s < kNumCommStages; ++s) {
-    const auto stage = static_cast<CommStage>(s);
-    if (TotalBytes(stage) == 0) continue;
-    std::snprintf(buf, sizeof(buf), "%s (src \\ dst):\n",
-                  CommStageName(stage));
-    out += buf;
-    out += "         ";
-    for (int dst = 0; dst < num_nodes; ++dst) {
-      std::snprintf(buf, sizeof(buf), "%12s",
-                    ("node" + std::to_string(dst)).c_str());
-      out += buf;
-    }
-    out += "         total\n";
-    for (int src = 0; src < num_nodes; ++src) {
-      std::snprintf(buf, sizeof(buf), "  node%-3d", src);
-      out += buf;
-      int64_t row_total = 0;
-      for (int dst = 0; dst < num_nodes; ++dst) {
-        const int64_t b = Bytes(stage, src, dst);
-        row_total += b;
-        std::snprintf(buf, sizeof(buf), "%12s",
-                      b == 0 ? "-"
-                             : FormatBytes(static_cast<double>(b)).c_str());
-        out += buf;
-      }
-      std::snprintf(buf, sizeof(buf), "%14s\n",
-                    FormatBytes(static_cast<double>(row_total)).c_str());
-      out += buf;
-    }
-  }
-  std::snprintf(
-      buf, sizeof(buf),
-      "total %s | max link %s | %d active links | skew %.2f\n",
-      FormatBytes(static_cast<double>(TotalBytes())).c_str(),
-      FormatBytes(static_cast<double>(MaxLinkBytes())).c_str(), ActiveLinks(),
-      SkewRatio());
-  out += buf;
-  return out;
-}
-
 void CommMatrixSnapshot::AppendJson(JsonWriter* writer) const {
   writer->BeginObject();
   writer->Key("num_nodes");
@@ -228,12 +144,6 @@ void CommMatrixSnapshot::AppendJson(JsonWriter* writer) const {
   }
   writer->EndObject();
   writer->EndObject();
-}
-
-std::string CommMatrixSnapshot::ToJson() const {
-  JsonWriter writer;
-  AppendJson(&writer);
-  return writer.str();
 }
 
 }  // namespace distme::obs

@@ -1,9 +1,10 @@
 // CommMatrix: per-(source node, destination node, stage) byte accounting for
 // shuffle traffic. DistME's evaluation is driven by *where bytes move*
-// (CuboidMM wins on shuffle volume — paper §4, Fig. 7), so both executors
-// feed one of these: RealExecutor records every remote block fetch and
-// aggregation emit with its true endpoints; SimExecutor spreads each task's
-// modelled transfer volume over the uniform-hash block homes.
+// (CuboidMM wins on shuffle volume — paper §4, Fig. 7), so each executor run
+// builds one of these, sized to its cluster: RealExecutor records every
+// remote block fetch and aggregation emit with its true endpoints;
+// SimExecutor spreads each task's modelled transfer volume over the
+// uniform-hash block homes. The run's snapshot is its MMReport::comm.
 //
 // Recording is lock-free (a relaxed atomic add into a dense grid), so task
 // threads can hammer it without coordination. Analysis happens on immutable
@@ -16,8 +17,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "common/thread_annotations.h"
@@ -33,8 +32,7 @@ inline constexpr int kNumCommStages = 2;
 
 const char* CommStageName(CommStage stage);
 
-/// \brief An immutable copy of a CommMatrix, restricted to the nodes that
-/// actually appeared. Supports per-run deltas via `Delta()`.
+/// \brief An immutable copy of a CommMatrix over all of its nodes.
 struct CommMatrixSnapshot {
   int num_nodes = 0;
   /// cells[stage][src * num_nodes + dst], bytes.
@@ -61,60 +59,39 @@ struct CommMatrixSnapshot {
   /// skewed (a straggling link). 0 when nothing crossed the network.
   double SkewRatio() const;
 
-  /// \brief Cell-wise `this − before`, for per-run extraction from a
-  /// long-lived (session- or bench-owned) matrix. `before` may be smaller
-  /// (earlier runs saw fewer nodes); missing cells count as zero.
-  CommMatrixSnapshot Delta(const CommMatrixSnapshot& before) const;
-
-  /// \brief Aligned text rendering: one src → dst grid per stage with
-  /// row/column totals, plus the summary line (total / max link / skew).
-  std::string ToTable() const;
-
   /// \brief Appends {"num_nodes":…, "total_bytes":…, …, "stages":{…}}.
   void AppendJson(JsonWriter* writer) const;
-  std::string ToJson() const;
 };
 
-/// \brief Thread-safe recorder of per-link shuffle traffic.
-///
-/// The grid is allocated once at a fixed capacity; node ids at or above
-/// `kMaxNodes` fold modulo the capacity (clusters in this repo are ≤ tens of
-/// nodes, so folding never triggers in practice). Record() is a relaxed
-/// atomic add — safe from any number of task threads.
+/// \brief Thread-safe recorder of one run's per-link shuffle traffic over
+/// the nodes 0..num_nodes−1 of its cluster. Record() is a relaxed atomic
+/// add — safe from any number of task threads.
 class CommMatrix {
  public:
-  static constexpr int kMaxNodes = 64;
-
-  CommMatrix();
+  /// \brief A zeroed grid over `num_nodes` nodes (clamped at 0).
+  explicit CommMatrix(int num_nodes);
 
   CommMatrix(const CommMatrix&) = delete;
   CommMatrix& operator=(const CommMatrix&) = delete;
 
   /// \brief Accounts `bytes` moved src → dst during `stage`. Negative or
-  /// zero byte counts are ignored.
+  /// zero byte counts and node ids outside [0, num_nodes) are ignored.
   void Record(CommStage stage, int src, int dst, int64_t bytes);
 
-  /// \brief Highest node id seen so far plus one (0 before any Record).
-  int num_nodes() const {
-    return max_node_.load(std::memory_order_relaxed) + 1;
-  }
+  int num_nodes() const { return num_nodes_; }
 
   CommMatrixSnapshot Snapshot() const;
 
-  /// \brief Zeroes every cell (the observed node set is kept).
-  void Reset();
-
  private:
-  static size_t CellIndex(CommStage stage, int src, int dst) {
-    return (static_cast<size_t>(stage) * kMaxNodes +
-            static_cast<size_t>(src)) *
-               kMaxNodes +
+  size_t CellIndex(CommStage stage, int src, int dst) const {
+    const auto n = static_cast<size_t>(num_nodes_);
+    return (static_cast<size_t>(stage) * n + static_cast<size_t>(src)) * n +
            static_cast<size_t>(dst);
   }
 
-  std::unique_ptr<std::atomic<int64_t>[]> cells_
-      DISTME_LOCKFREE("pointer fixed in ctor; cells are relaxed atomics");
-  std::atomic<int> max_node_{-1};
+  const int num_nodes_;
+  std::vector<std::atomic<int64_t>> cells_
+      DISTME_LOCKFREE("sized in ctor; cells are relaxed atomics");
 };
 
 }  // namespace distme::obs

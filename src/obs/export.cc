@@ -197,16 +197,15 @@ std::string ChromeTraceJson(const std::vector<FlightEvent>& events,
         slot_tracks.emplace(e.node, e.slot);
         break;
       }
-      case FlightEventType::kDepEdge: {
+      case FlightEventType::kFetchWait:
+      case FlightEventType::kGpuWait:
         // The edge is the `b` µs ending at ts_us.
-        const FlightEdgeKind kind = FlightEdgeKindFromName(e.detail);
-        if (kind != FlightEdgeKind::kNumKinds && e.b > 0) {
-          AppendSpan(FlightEdgeKindName(kind), "edge", e.ts_us - e.b, e.ts_us,
-                     e.node, e.slot, {{"task", e.a}}, &w);
+        if (e.b > 0) {
+          AppendSpan(FlightEventTypeName(e.type), "edge", e.ts_us - e.b,
+                     e.ts_us, e.node, e.slot, {{"task", e.a}}, &w);
           slot_tracks.emplace(e.node, e.slot);
         }
         break;
-      }
       case FlightEventType::kRunStart:
         open_runs.push_back(&e);
         break;
@@ -294,64 +293,6 @@ Status WriteTextFile(const std::string& path, std::string_view content) {
     return Status::IOError("short write to output file: " + path);
   }
   return Status::OK();
-}
-
-void AppendMetricsJson(const MetricsSnapshot& snapshot, JsonWriter* writer) {
-  writer->BeginArray();
-  for (const MetricPoint& point : snapshot.points) {
-    writer->BeginObject();
-    writer->Key("name");
-    writer->Value(point.name);
-    if (!point.labels.empty()) {
-      writer->Key("labels");
-      writer->BeginObject();
-      for (const auto& [key, value] : point.labels) {
-        writer->Key(key);
-        writer->Value(value);
-      }
-      writer->EndObject();
-    }
-    switch (point.kind) {
-      case MetricKind::kCounter:
-        writer->Key("type");
-        writer->Value("counter");
-        writer->Key("value");
-        writer->Value(point.value);
-        break;
-      case MetricKind::kGauge:
-        writer->Key("type");
-        writer->Value("gauge");
-        writer->Key("value");
-        writer->Value(point.value);
-        break;
-      case MetricKind::kHistogram:
-        writer->Key("type");
-        writer->Value("histogram");
-        writer->Key("count");
-        writer->Value(point.value);
-        writer->Key("sum");
-        writer->Value(point.sum);
-        writer->Key("min");
-        writer->Value(point.min);
-        writer->Key("max");
-        writer->Value(point.max);
-        writer->Key("p50");
-        writer->Value(point.p50);
-        writer->Key("p95");
-        writer->Value(point.p95);
-        writer->Key("p99");
-        writer->Value(point.p99);
-        break;
-    }
-    writer->EndObject();
-  }
-  writer->EndArray();
-}
-
-std::string MetricsJson(const MetricsSnapshot& snapshot) {
-  JsonWriter writer;
-  AppendMetricsJson(snapshot, &writer);
-  return writer.str();
 }
 
 }  // namespace distme::obs

@@ -1,7 +1,6 @@
-// Exporters for the observability layer: Chrome trace-event JSON of the
-// flight-event stream (loadable in chrome://tracing or
-// https://ui.perfetto.dev) and a structured JSON rendering of a metrics
-// snapshot, embedded by the engine's run report.
+// Exporters for the observability layer: a minimal JSON writer, Chrome
+// trace-event JSON of the flight-event stream (loadable in chrome://tracing
+// or https://ui.perfetto.dev), and a checked text-file writer.
 
 #pragma once
 
@@ -12,7 +11,6 @@
 
 #include "common/status.h"
 #include "obs/flight_recorder.h"
-#include "obs/metrics.h"
 
 namespace distme::obs {
 
@@ -73,11 +71,5 @@ std::string ChromeTraceJson(const std::vector<FlightEvent>& events,
 /// \brief Writes `content` to `path`, failing on short writes. Shared by the
 /// trace / metrics / bench-result exporters.
 [[nodiscard]] Status WriteTextFile(const std::string& path, std::string_view content);
-
-/// \brief Appends `snapshot` to `writer` as a JSON array of metric points.
-void AppendMetricsJson(const MetricsSnapshot& snapshot, JsonWriter* writer);
-
-/// \brief Standalone JSON array of metric points.
-std::string MetricsJson(const MetricsSnapshot& snapshot);
 
 }  // namespace distme::obs

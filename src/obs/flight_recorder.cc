@@ -1,12 +1,14 @@
 #include "obs/flight_recorder.h"
 
+#include <sys/mman.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <charconv>
 #include <cstdio>
-#include <cstring>
 #include <iterator>
+#include <memory>
+#include <new>
 #include <utility>
 
 #include "obs/export.h"
@@ -24,7 +26,8 @@ constexpr const char* kFlightEventTypeNames[] = {
     "task_start",          // kTaskStart
     "task_finish",         // kTaskFinish
     "task_retry",          // kTaskRetry
-    "dep_edge",            // kDepEdge
+    "fetch_wait",          // kFetchWait
+    "gpu_wait",            // kGpuWait
     "stage_begin",         // kStageBegin
     "stage_end",           // kStageEnd
     "gpu_h2d_begin",       // kGpuH2dBegin
@@ -40,18 +43,6 @@ static_assert(std::size(kFlightEventTypeNames) ==
                   static_cast<size_t>(FlightEventType::kNumTypes),
               "kFlightEventTypeNames must cover every FlightEventType");
 
-// Keep entry-for-entry in sync with FlightEdgeKind (distme-lint rule
-// `flight-edge-sync` checks that each name is the snake_case of the
-// enumerator at the same index; the static_assert below checks the count).
-constexpr const char* kFlightEdgeKindNames[] = {
-    "fetch_wait",  // kFetchWait
-    "gpu_wait",    // kGpuWait
-};
-
-static_assert(std::size(kFlightEdgeKindNames) ==
-                  static_cast<size_t>(FlightEdgeKind::kNumKinds),
-              "kFlightEdgeKindNames must cover every FlightEdgeKind");
-
 size_t RoundUpPow2(size_t v) {
   size_t p = 64;
   while (p < v) p <<= 1;
@@ -64,23 +55,6 @@ const char* FlightEventTypeName(FlightEventType type) {
   const size_t i = static_cast<size_t>(type);
   if (i >= std::size(kFlightEventTypeNames)) return "unknown";
   return kFlightEventTypeNames[i];
-}
-
-const char* FlightEdgeKindName(FlightEdgeKind kind) {
-  const size_t i = static_cast<size_t>(kind);
-  if (i >= std::size(kFlightEdgeKindNames)) return "unknown";
-  return kFlightEdgeKindNames[i];
-}
-
-FlightEdgeKind FlightEdgeKindFromName(const char* name) {
-  if (name != nullptr) {
-    for (size_t i = 0; i < std::size(kFlightEdgeKindNames); ++i) {
-      if (std::strcmp(name, kFlightEdgeKindNames[i]) == 0) {
-        return static_cast<FlightEdgeKind>(i);
-      }
-    }
-  }
-  return FlightEdgeKind::kNumKinds;
 }
 
 // One ring slot. Every payload field is an atomic so a concurrent snapshot
@@ -97,9 +71,24 @@ struct FlightRecorder::Slot {
   std::atomic<const char*> detail{nullptr};
 };
 
+FlightRecorder::Slot* FlightRecorder::MapSlots(size_t capacity) {
+  if (capacity > SIZE_MAX / sizeof(Slot)) throw std::bad_alloc();
+  void* mapped = mmap(nullptr, capacity * sizeof(Slot), PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+  if (mapped == MAP_FAILED) throw std::bad_alloc();
+  Slot* slots = static_cast<Slot*>(mapped);
+  std::uninitialized_default_construct_n(slots, capacity);
+  return slots;
+}
+
+void FlightRecorder::SlotsUnmap::operator()(Slot* slots) const {
+  std::destroy_n(slots, capacity);
+  munmap(slots, capacity * sizeof(Slot));
+}
+
 FlightRecorder::FlightRecorder(size_t capacity)
     : capacity_(RoundUpPow2(capacity)),
-      slots_(std::make_unique<Slot[]>(RoundUpPow2(capacity))),
+      slots_(MapSlots(capacity_), SlotsUnmap{capacity_}),
       epoch_(std::chrono::steady_clock::now()) {
   wall_epoch_us_ = std::chrono::duration_cast<std::chrono::microseconds>(
                        std::chrono::system_clock::now().time_since_epoch())
@@ -184,7 +173,10 @@ std::string FlightRecorder::ToJson() const {
   // Schema 3 adds the per-engine GPU interval events (gpu_h2d/gpu_d2h/
   // gpu_kernel begin/end pairs + gpu_alloc), whose ts_us values sit on the
   // emitting device's virtual clock instead. Schema 4 drops the never-read
-  // gpu_submit/gpu_complete and the never-recorded fatal kinds.
+  // gpu_submit/gpu_complete and the never-recorded fatal kinds, schema 5
+  // four more unread kinds. Schema 6 records the two wait edges as the
+  // fetch_wait and gpu_wait event types instead of one dep_edge type whose
+  // `detail` named the edge.
   w.Key("schema");
   w.Value(kFlightDumpSchema);
   w.Key("wall_epoch_us");
@@ -404,8 +396,20 @@ Result<FlightDump> ParseFlightDump(std::string_view json) {
   bool has_events = false;
   int64_t total_recorded = 0;
   int64_t capacity = 0;
+  // Checked as soon as it is read as well as at the end, so an older dump
+  // is refused by its schema, not by the first event kind it lacks.
+  auto check_schema = [&dump]() -> Status {
+    if (dump.schema == kFlightDumpSchema) return Status::OK();
+    return Status::Invalid(
+        "unsupported flight dump schema " + std::to_string(dump.schema) +
+        "; this build reads schema " + std::to_string(kFlightDumpSchema) +
+        " only, re-dump the run with it");
+  };
   DISTME_RETURN_NOT_OK(r.ForEachMember([&](const std::string& key) -> Status {
-    if (key == "schema") return r.ReadInt(&dump.schema);
+    if (key == "schema") {
+      DISTME_RETURN_NOT_OK(r.ReadInt(&dump.schema));
+      return check_schema();
+    }
     if (key == "wall_epoch_us") return r.ReadInt(&dump.wall_epoch_us);
     if (key == "steady_epoch_us") return r.ReadInt(&dump.steady_epoch_us);
     if (key == "total_recorded") return r.ReadInt(&total_recorded);
@@ -423,12 +427,7 @@ Result<FlightDump> ParseFlightDump(std::string_view json) {
   r.SkipSpace();
   if (!r.AtEnd()) return r.Fail("trailing bytes");
   if (!has_events) return Status::Invalid("flight dump has no events array");
-  if (dump.schema != kFlightDumpSchema) {
-    return Status::Invalid(
-        "unsupported flight dump schema " + std::to_string(dump.schema) +
-        "; this build reads schema " + std::to_string(kFlightDumpSchema) +
-        " only, re-dump the run with it");
-  }
+  DISTME_RETURN_NOT_OK(check_schema());
   if (total_recorded < 0 || capacity < 0) {
     return Status::Invalid("flight dump has a negative event count");
   }

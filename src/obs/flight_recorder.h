@@ -45,7 +45,12 @@ enum class FlightEventType : uint8_t {
   kTaskFinish,         ///< task attempt ends, ok or not (a = task id,
                        ///< b = µs); a failed one precedes its kTaskRetry
   kTaskRetry,          ///< task attempt failed (a = task id, b = attempt)
-  kDepEdge,            ///< causal edge (a = task id, b = µs, detail = kind)
+  // Schema 6: the two blocked-time edges. Each says "task `a` spent `b` µs
+  // blocked, ending at ts_us"; the causal-graph builder folds them into
+  // the per-task decomposition (slot_wait + fetch_wait + gpu_wait + exec ==
+  // task span), where slot_wait and exec are derived, not recorded.
+  kFetchWait,          ///< blocked fetching remote input blocks (shuffle)
+  kGpuWait,            ///< blocked on GPU transfer/kernel completion
   kStageBegin,         ///< stage barrier opens (detail = stage name)
   kStageEnd,           ///< stage barrier closes (detail = stage name)
   // Schema 3: per-engine GPU interval events. All six interval kinds share
@@ -68,30 +73,6 @@ enum class FlightEventType : uint8_t {
 
 /// \brief Stable snake_case name of `type` ("task_start", ...).
 const char* FlightEventTypeName(FlightEventType type);
-
-/// \brief What a `kDepEdge` event attributes its waited time to.
-///
-/// An edge event records "task `a` spent `b` µs bound by <kind>, ending at
-/// `ts_us`". The causal-graph builder folds these into the per-task
-/// blocked-time decomposition (slot_wait + fetch_wait + gpu_wait + exec ==
-/// task span); slot_wait and exec are derived there, not recorded. The
-/// enum and `kFlightEdgeKindNames` in flight_recorder.cc must stay in sync
-/// entry-for-entry (snake_case of the enumerator) — checked by a
-/// static_assert on the count and by distme-lint rule `flight-edge-sync`
-/// on the order.
-enum class FlightEdgeKind : uint8_t {
-  kFetchWait = 0,  ///< blocked fetching remote input blocks (shuffle)
-  kGpuWait,        ///< blocked on GPU transfer/kernel completion
-  kNumKinds        // sentinel — keep last
-};
-
-/// \brief Stable snake_case name of `kind` ("fetch_wait", ...). The
-/// returned pointer is a string literal, so it is safe to pass as a
-/// flight-event `detail`.
-const char* FlightEdgeKindName(FlightEdgeKind kind);
-
-/// \brief Reverse lookup of FlightEdgeKindName; kNumKinds if unknown.
-FlightEdgeKind FlightEdgeKindFromName(const char* name);
 
 /// \brief One decoded flight-recorder event (a snapshot copy of a slot).
 struct FlightEvent {
@@ -130,21 +111,6 @@ class FlightRecorder {
                 int32_t slot = -1, int64_t a = 0, int64_t b = 0,
                 const char* detail = nullptr);
 
-  /// \brief Appends a `kDepEdge` event: task `task_id` on (node, slot)
-  /// spent `duration_us` µs bound by `kind`, the interval ending now.
-  void RecordEdge(FlightEdgeKind kind, int32_t node, int32_t slot,
-                  int64_t task_id, int64_t duration_us) {
-    Record(FlightEventType::kDepEdge, node, slot, task_id, duration_us,
-           FlightEdgeKindName(kind));
-  }
-
-  /// \brief RecordEdge() with a caller-supplied interval-end timestamp.
-  void RecordEdgeAt(int64_t ts_us, FlightEdgeKind kind, int32_t node,
-                    int32_t slot, int64_t task_id, int64_t duration_us) {
-    RecordAt(ts_us, FlightEventType::kDepEdge, node, slot, task_id,
-             duration_us, FlightEdgeKindName(kind));
-  }
-
   /// \brief Total events ever recorded (≥ the number retained).
   uint64_t TotalRecorded() const {
     return next_.load(std::memory_order_relaxed);
@@ -168,7 +134,7 @@ class FlightRecorder {
   /// overwritten concurrently are skipped, never torn.
   std::vector<FlightEvent> Snapshot() const;
 
-  /// \brief JSON dump: {"schema":5, "wall_epoch_us":…, "steady_epoch_us":…,
+  /// \brief JSON dump: {"schema":6, "wall_epoch_us":…, "steady_epoch_us":…,
   /// "total_recorded":…, "capacity":…, "events":[…]}. ParseFlightDump()
   /// reads it back.
   std::string ToJson() const;
@@ -191,12 +157,22 @@ class FlightRecorder {
 
  private:
   struct Slot;
+  struct SlotsUnmap {
+    size_t capacity;
+    void operator()(Slot* slots) const;
+  };
+
+  // The ring lives as long as its recorder, so it gets a mapping of its own
+  // instead of a malloc heap chunk: a long-lived chunk that lands above a
+  // run's short-lived blocks keeps the heap from shrinking once they are
+  // freed. Throws std::bad_alloc when the mapping fails.
+  static Slot* MapSlots(size_t capacity);
 
   // Seqlock-validated copy of one slot; false if empty or mid-write.
   bool ReadSlot(const Slot& slot, FlightEvent* out) const;
 
   const size_t capacity_;  // power of two
-  std::unique_ptr<Slot[]> slots_
+  std::unique_ptr<Slot[], SlotsUnmap> slots_
       DISTME_LOCKFREE("pointer fixed in ctor; slots are per-slot seqlocks");
   std::atomic<uint64_t> next_{0};
   const std::chrono::steady_clock::time_point epoch_;
@@ -207,7 +183,7 @@ class FlightRecorder {
 };
 
 /// \brief The dump schema ToJson() writes and ParseFlightDump() reads.
-inline constexpr int64_t kFlightDumpSchema = 5;
+inline constexpr int64_t kFlightDumpSchema = 6;
 
 /// \brief Exclusive bound on every `ts_us`, `a` and `b` a dump may carry:
 /// ParseFlightDump() refuses a value outside [0, kFlightValueLimit). A ring

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 namespace distme::obs {
 
@@ -33,22 +32,6 @@ void AtomicAddDouble(std::atomic<double>* target, double delta) {
   }
 }
 
-void AtomicMaxDouble(std::atomic<double>* target, double value) {
-  double current = target->load(std::memory_order_relaxed);
-  while (current < value &&
-         !target->compare_exchange_weak(current, value,
-                                        std::memory_order_relaxed)) {
-  }
-}
-
-void AtomicMinDouble(std::atomic<double>* target, double value) {
-  double current = target->load(std::memory_order_relaxed);
-  while (current > value &&
-         !target->compare_exchange_weak(current, value,
-                                        std::memory_order_relaxed)) {
-  }
-}
-
 }  // namespace
 
 int Histogram::BucketFor(double value) {
@@ -67,49 +50,6 @@ void Histogram::Observe(double value) {
       1, std::memory_order_relaxed);
   count_.fetch_add(1, std::memory_order_relaxed);
   AtomicAddDouble(&sum_, value);
-  AtomicMaxDouble(&max_, value);
-  AtomicMinDouble(&min_, value);
-}
-
-double Histogram::Min() const {
-  const double m = min_.load(std::memory_order_relaxed);
-  return std::isinf(m) ? 0.0 : m;
-}
-
-double Histogram::Percentile(double p) const {
-  const int64_t total = Count();
-  if (total <= 0) return 0.0;
-  const double rank = std::clamp(p, 0.0, 100.0) / 100.0 *
-                      static_cast<double>(total);
-  int64_t cumulative = 0;
-  for (int b = 0; b < kBuckets; ++b) {
-    const int64_t in_bucket =
-        buckets_[static_cast<size_t>(b)].load(std::memory_order_relaxed);
-    if (in_bucket == 0) continue;
-    if (static_cast<double>(cumulative + in_bucket) >= rank) {
-      const double lo = BucketLowerBound(b);
-      const double hi = b + 1 < kBuckets ? BucketLowerBound(b + 1)
-                                         : Max();
-      const double frac =
-          std::clamp((rank - static_cast<double>(cumulative)) /
-                         static_cast<double>(in_bucket),
-                     0.0, 1.0);
-      // Clamp interpolation into the observed range for tighter estimates.
-      const double estimate = lo + (hi - lo) * frac;
-      return std::clamp(estimate, Min(), Max());
-    }
-    cumulative += in_bucket;
-  }
-  return Max();
-}
-
-void Histogram::Reset() {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0.0, std::memory_order_relaxed);
-  min_.store(std::numeric_limits<double>::infinity(),
-             std::memory_order_relaxed);
-  max_.store(0.0, std::memory_order_relaxed);
 }
 
 const MetricPoint* MetricsSnapshot::Find(std::string_view name,
@@ -195,11 +135,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
       case MetricKind::kHistogram:
         point.value = entry->histogram->Count();
         point.sum = entry->histogram->Sum();
-        point.min = entry->histogram->Min();
-        point.max = entry->histogram->Max();
-        point.p50 = entry->histogram->Percentile(50);
-        point.p95 = entry->histogram->Percentile(95);
-        point.p99 = entry->histogram->Percentile(99);
         point.buckets.reserve(Histogram::kBuckets);
         for (int b = 0; b < Histogram::kBuckets; ++b) {
           point.buckets.push_back(entry->histogram->BucketCount(b));
@@ -209,23 +144,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
     snapshot.points.push_back(std::move(point));
   }
   return snapshot;
-}
-
-void MetricsRegistry::Reset() {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (const auto& entry : entries_) {
-    switch (entry->kind) {
-      case MetricKind::kCounter:
-        entry->counter->Reset();
-        break;
-      case MetricKind::kGauge:
-        entry->gauge->Reset();
-        break;
-      case MetricKind::kHistogram:
-        entry->histogram->Reset();
-        break;
-    }
-  }
 }
 
 }  // namespace distme::obs

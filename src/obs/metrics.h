@@ -12,7 +12,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -35,7 +34,6 @@ class Counter {
     value_.fetch_add(delta, std::memory_order_relaxed);
   }
   int64_t Value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<int64_t> value_{0};
@@ -55,16 +53,14 @@ class Gauge {
     }
   }
   int64_t Value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
 
  private:
   std::atomic<int64_t> value_{0};
 };
 
 /// \brief Exponential-bucket histogram (base-2 buckets over the value's
-/// binary exponent). Count and sum are exact; percentile estimates are
-/// linearly interpolated inside the matching bucket, so they are accurate
-/// to within one power of two. Lock-free.
+/// binary exponent), exported as Prometheus `_bucket` series. Count and
+/// sum are exact. Lock-free.
 class Histogram {
  public:
   static constexpr int kBuckets = 64;
@@ -73,11 +69,6 @@ class Histogram {
 
   int64_t Count() const { return count_.load(std::memory_order_relaxed); }
   double Sum() const { return sum_.load(std::memory_order_relaxed); }
-  double Min() const;
-  double Max() const { return max_.load(std::memory_order_relaxed); }
-  /// \brief Estimated value at percentile `p` in [0, 100].
-  double Percentile(double p) const;
-  void Reset();
 
   /// \brief Lower bound of bucket `b` (0 for the first bucket).
   static double BucketLowerBound(int b);
@@ -94,11 +85,6 @@ class Histogram {
       DISTME_LOCKFREE("array of relaxed atomics; each cell is independent");
   std::atomic<int64_t> count_{0};
   std::atomic<double> sum_{0.0};
-  /// +inf until the first observation: a CAS-min can then race-freely fold
-  /// in concurrent first observations (a "first one wins" flag cannot — the
-  /// winner's store races with other threads' min updates).
-  std::atomic<double> min_{std::numeric_limits<double>::infinity()};
-  std::atomic<double> max_{0.0};
 };
 
 enum class MetricKind { kCounter, kGauge, kHistogram };
@@ -110,13 +96,8 @@ struct MetricPoint {
   MetricKind kind = MetricKind::kCounter;
   /// Counter/Gauge value; Histogram count.
   int64_t value = 0;
-  /// Histogram-only statistics.
+  /// Histogram-only sum of the observations.
   double sum = 0;
-  double min = 0;
-  double max = 0;
-  double p50 = 0;
-  double p95 = 0;
-  double p99 = 0;
   /// Histogram-only per-bucket counts (size Histogram::kBuckets), for the
   /// Prometheus `_bucket` series.
   std::vector<int64_t> buckets;
@@ -144,8 +125,6 @@ class MetricsRegistry {
   Histogram* GetHistogram(std::string_view name, const LabelSet& labels = {});
 
   MetricsSnapshot Snapshot() const;
-  /// \brief Zeroes every registered instrument (instruments stay registered).
-  void Reset();
 
  private:
   struct Entry {

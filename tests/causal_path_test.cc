@@ -71,8 +71,8 @@ TEST(CausalGraphTest, ParsesTasksStagesAndEdges) {
   flight.RecordAt(0, Type::kRunStart, -1, -1, 2, 0, "real");
   flight.RecordAt(0, Type::kStageBegin, -1, -1, 0, 0, "multiply");
   flight.RecordAt(10, Type::kTaskStart, 0, 0, /*task=*/7, 0, "t");
-  flight.RecordEdgeAt(50, FlightEdgeKind::kFetchWait, 0, 0, 7, 40);
-  flight.RecordEdgeAt(90, FlightEdgeKind::kGpuWait, 0, 0, 7, 30);
+  flight.RecordAt(50, Type::kFetchWait, 0, 0, 7, 40);
+  flight.RecordAt(90, Type::kGpuWait, 0, 0, 7, 30);
   flight.RecordAt(100, Type::kTaskFinish, 0, 0, 7, 90, "t");
   flight.RecordAt(120, Type::kStageEnd, -1, -1, 0, 0, "multiply");
   flight.RecordAt(150, Type::kRunFinish, -1, -1, 2, 0, "real");
@@ -97,7 +97,7 @@ TEST(CausalGraphTest, FailedRunAndRetryAttempts) {
   flight.RecordAt(0, Type::kRunStart, -1, -1, 1, 0, "real");
   flight.RecordAt(5, Type::kTaskStart, 0, 0, 3, 0, "t");
   // The retry's fresh start resets the first attempt's accumulators.
-  flight.RecordEdgeAt(8, FlightEdgeKind::kFetchWait, 0, 0, 3, 3);
+  flight.RecordAt(8, Type::kFetchWait, 0, 0, 3, 3);
   flight.RecordAt(20, Type::kTaskStart, 0, 1, 3, 1, "t");
   flight.RecordAt(30, Type::kTaskFinish, 0, 1, 3, 10, "t");
   flight.RecordAt(40, Type::kRunFinish, -1, -1, 1, /*failed=*/1, "real");
@@ -127,21 +127,11 @@ TEST(CausalGraphTest, AnalyzesLastCompleteRunOnly) {
   ASSERT_EQ(graph.tasks.size(), 1u);
 }
 
-TEST(FlightEdgeKindTest, NameRoundTrip) {
-  for (int i = 0; i < static_cast<int>(FlightEdgeKind::kNumKinds); ++i) {
-    const FlightEdgeKind kind = static_cast<FlightEdgeKind>(i);
-    EXPECT_EQ(FlightEdgeKindFromName(FlightEdgeKindName(kind)), kind);
-  }
-  EXPECT_EQ(FlightEdgeKindFromName("no_such_kind"),
-            FlightEdgeKind::kNumKinds);
-  EXPECT_EQ(FlightEdgeKindFromName(nullptr), FlightEdgeKind::kNumKinds);
-}
-
 TEST(FlightDumpTest, HeaderCarriesWallClockAnchor) {
   FlightRecorder flight(64);
   flight.Record(Type::kRunStart, -1, -1, 0, 0, "real");
   const std::string json = flight.ToJson();
-  EXPECT_NE(json.find("\"schema\":5"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"schema\":6"), std::string::npos) << json;
   EXPECT_NE(json.find("\"wall_epoch_us\":"), std::string::npos);
   EXPECT_NE(json.find("\"steady_epoch_us\":"), std::string::npos);
   EXPECT_GT(flight.WallEpochMicros(), 0);
@@ -154,7 +144,7 @@ TEST(CriticalPathTest, HandCraftedChainHasKnownPath) {
   FlightRecorder flight(128);
   flight.RecordAt(0, Type::kRunStart, -1, -1, 2, 0, "real");
   flight.RecordAt(10, Type::kTaskStart, 0, 0, 0, 0, "t");
-  flight.RecordEdgeAt(50, FlightEdgeKind::kFetchWait, 0, 0, 0, 40);
+  flight.RecordAt(50, Type::kFetchWait, 0, 0, 0, 40);
   flight.RecordAt(100, Type::kTaskFinish, 0, 0, 0, 90, "t");
   flight.RecordAt(100, Type::kTaskStart, 0, 0, 1, 0, "t");
   flight.RecordAt(180, Type::kTaskFinish, 0, 0, 1, 80, "t");
@@ -191,8 +181,7 @@ CriticalPathAnalysis ChainedRun(int64_t fetch_us, int64_t agg_us,
   FlightRecorder flight(128);
   flight.RecordAt(0, Type::kRunStart, -1, -1, 2, 0, "real");
   flight.RecordAt(10, Type::kTaskStart, 0, 0, 0, 0, "t");
-  flight.RecordEdgeAt(10 + fetch_us, FlightEdgeKind::kFetchWait, 0, 0, 0,
-                      fetch_us);
+  flight.RecordAt(10 + fetch_us, Type::kFetchWait, 0, 0, 0, fetch_us);
   flight.RecordAt(t0_finish, Type::kTaskFinish, 0, 0, 0, t0_finish - 10, "t");
   flight.RecordAt(t0_finish, Type::kTaskStart, 0, 0, 1, 0, "t");
   flight.RecordAt(t1_finish, Type::kTaskFinish, 0, 0, 1, 80, "t");

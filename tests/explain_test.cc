@@ -18,6 +18,7 @@
 #include "matrix/generator.h"
 #include "mm/methods.h"
 #include "obs/comm_matrix.h"
+#include "obs/export.h"
 #include "obs/metrics.h"
 
 namespace distme {
@@ -34,7 +35,7 @@ TEST(CommMatrixTest, ConcurrentRecordingIsExact) {
   constexpr int kRecords = 20000;
   constexpr int kNodes = 4;
 
-  CommMatrix comm;
+  CommMatrix comm(kNodes);
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
   for (int t = 0; t < kThreads; ++t) {
@@ -61,7 +62,7 @@ TEST(CommMatrixTest, ConcurrentRecordingIsExact) {
 
 TEST(CommMatrixTest, SkewRatioSeparatesBalancedFromConcentrated) {
   // Balanced all-to-all: every off-diagonal link carries the same bytes.
-  CommMatrix balanced;
+  CommMatrix balanced(4);
   for (int src = 0; src < 4; ++src) {
     for (int dst = 0; dst < 4; ++dst) {
       if (src != dst) {
@@ -72,48 +73,37 @@ TEST(CommMatrixTest, SkewRatioSeparatesBalancedFromConcentrated) {
   EXPECT_DOUBLE_EQ(balanced.Snapshot().SkewRatio(), 1.0);
 
   // One link carries everything: skew = N·(N−1) = 12.
-  CommMatrix concentrated;
+  CommMatrix concentrated(4);
   concentrated.Record(CommStage::kRepartition, 0, 3, 12000);
   EXPECT_DOUBLE_EQ(concentrated.Snapshot().SkewRatio(), 12.0);
 
   // Nothing recorded: no skew to report.
-  CommMatrix empty;
+  CommMatrix empty(4);
   EXPECT_DOUBLE_EQ(empty.Snapshot().SkewRatio(), 0.0);
 }
 
-TEST(CommMatrixTest, IgnoresNonPositiveAndTracksNodeSet) {
-  CommMatrix comm;
-  EXPECT_EQ(comm.num_nodes(), 0);
+TEST(CommMatrixTest, IgnoresNonPositiveAndOutOfRangeRecords) {
+  CommMatrix comm(3);
+  EXPECT_EQ(comm.num_nodes(), 3);
   comm.Record(CommStage::kRepartition, 0, 1, 0);
   comm.Record(CommStage::kRepartition, 0, 1, -5);
+  comm.Record(CommStage::kRepartition, 3, 0, 9);   // no node 3
+  comm.Record(CommStage::kRepartition, 0, -1, 9);
   EXPECT_EQ(comm.Snapshot().TotalBytes(), 0);
   comm.Record(CommStage::kAggregation, 2, 0, 7);
-  EXPECT_EQ(comm.num_nodes(), 3);
-  EXPECT_EQ(comm.Snapshot().Bytes(CommStage::kAggregation, 2, 0), 7);
-}
-
-TEST(CommMatrixTest, DeltaIsolatesOneRun) {
-  CommMatrix comm;
-  comm.Record(CommStage::kRepartition, 0, 1, 100);
-  const CommMatrixSnapshot before = comm.Snapshot();
-  comm.Record(CommStage::kRepartition, 0, 1, 40);
-  comm.Record(CommStage::kAggregation, 1, 2, 60);  // widens the node set
-  const CommMatrixSnapshot delta = comm.Snapshot().Delta(before);
-  EXPECT_EQ(delta.Bytes(CommStage::kRepartition, 0, 1), 40);
-  EXPECT_EQ(delta.Bytes(CommStage::kAggregation, 1, 2), 60);
-  EXPECT_EQ(delta.TotalBytes(), 100);
+  const CommMatrixSnapshot snap = comm.Snapshot();
+  EXPECT_EQ(snap.num_nodes, 3);
+  EXPECT_EQ(snap.Bytes(CommStage::kAggregation, 2, 0), 7);
+  EXPECT_EQ(snap.TotalBytes(), 7);
 }
 
 TEST(CommMatrixTest, TableAndJsonRenderings) {
-  CommMatrix comm;
+  CommMatrix comm(2);
   comm.Record(CommStage::kRepartition, 0, 1, 4096);
   comm.Record(CommStage::kAggregation, 1, 0, 1024);
-  const CommMatrixSnapshot snap = comm.Snapshot();
-  const std::string table = snap.ToTable();
-  EXPECT_NE(table.find("repartition"), std::string::npos);
-  EXPECT_NE(table.find("aggregation"), std::string::npos);
-  EXPECT_NE(table.find("skew"), std::string::npos);
-  const std::string json = snap.ToJson();
+  obs::JsonWriter writer;
+  comm.Snapshot().AppendJson(&writer);
+  const std::string& json = writer.str();
   EXPECT_NE(json.find("\"skew_ratio\""), std::string::npos);
   EXPECT_NE(json.find("\"max_link_bytes\":4096"), std::string::npos);
   EXPECT_NE(json.find("\"stages\""), std::string::npos);
@@ -140,16 +130,14 @@ TEST(CommMatrixTest, GridPartitioningOnOneNodeProducesSkewedLinks) {
   engine::DistributedMatrix b = engine::DistributedMatrix::FromGrid(
       GenerateUniform(g), 3, engine::Partitioner::Grid(3, 100, 100));
 
-  CommMatrix comm;
   engine::RealExecutor executor(cluster);
-  engine::RealOptions options;
-  options.comm = &comm;
   // BMM has no aggregation step, so the matrix records repartition only.
-  auto result = executor.Run(a, b, mm::BmmMethod(), options);
+  auto result = executor.Run(a, b, mm::BmmMethod());
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   ASSERT_TRUE(result->report.outcome.ok());
 
-  const CommMatrixSnapshot snap = comm.Snapshot();
+  const CommMatrixSnapshot& snap = result->report.comm;
+  EXPECT_EQ(snap.num_nodes, cluster.num_nodes);
   ASSERT_GT(snap.TotalBytes(), 0);
   // Every byte originates on node 0 (the only block home).
   for (int src = 1; src < snap.num_nodes; ++src) {
@@ -162,6 +150,27 @@ TEST(CommMatrixTest, GridPartitioningOnOneNodeProducesSkewedLinks) {
   // mean divides by all 6, so the skew ratio is at least 3 (allow margin).
   EXPECT_GE(snap.SkewRatio(), 2.0);
   EXPECT_LE(snap.ActiveLinks(), 2);
+
+  // One link: CuboidMM(2,1,1) runs task 0 on node 0, where both inputs
+  // live, and task 1 on node 1, so every byte crosses 0 -> 1. Over the
+  // 4·3 links of a 4-node cluster that is skew 12, even though nodes 2 and
+  // 3 never move a byte.
+  const ClusterConfig four = ClusterConfig::Local(4, 1);
+  engine::DistributedMatrix a4 = engine::DistributedMatrix::FromGrid(
+      a.Collect(), 4, engine::Partitioner::Grid(4, 100, 100));
+  engine::DistributedMatrix b4 = engine::DistributedMatrix::FromGrid(
+      b.Collect(), 4, engine::Partitioner::Grid(4, 100, 100));
+  engine::RealExecutor executor4(four);
+  auto one_link =
+      executor4.Run(a4, b4, mm::CuboidMethod(mm::CuboidSpec{2, 1, 1}));
+  ASSERT_TRUE(one_link.ok()) << one_link.status().ToString();
+  ASSERT_TRUE(one_link->report.outcome.ok());
+  const CommMatrixSnapshot& link = one_link->report.comm;
+  EXPECT_EQ(link.num_nodes, 4);
+  EXPECT_EQ(link.ActiveLinks(), 1);
+  EXPECT_GT(link.Bytes(CommStage::kRepartition, 0, 1), 0);
+  EXPECT_EQ(link.TotalBytes(), link.Bytes(CommStage::kRepartition, 0, 1));
+  EXPECT_DOUBLE_EQ(link.SkewRatio(), 12.0);
 }
 
 // --- SimExecutor comm accounting -------------------------------------------
@@ -177,15 +186,14 @@ TEST(SimCommTest, CommMatrixTotalsMatchTheReport) {
   methods.push_back(std::make_unique<mm::BmmMethod>());
   methods.push_back(std::make_unique<mm::RmmMethod>());
   for (const auto& method : methods) {
-    CommMatrix comm;
     obs::MetricsRegistry metrics;
     engine::SimOptions options;
-    options.comm = &comm;
     options.metrics = &metrics;
     auto report = sim.Run(problem, *method, options);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
 
-    const CommMatrixSnapshot snap = comm.Snapshot();
+    const CommMatrixSnapshot& snap = report->comm;
+    EXPECT_EQ(snap.num_nodes, cluster.num_nodes);
     // The per-link spread rounds per node per task; totals must still add
     // back up to the report's shuffle bytes.
     const double slack =
@@ -254,9 +262,11 @@ TEST(ExplainTest, ExplainLastRunReportsPredictedVsMeasured) {
   for (const char* key :
        {"\"predicted_total_bytes\"", "\"measured_total_bytes\"",
         "\"p95_seconds\"", "\"straggler_ratio\"", "\"stages\"", "\"comm\"",
-        "\"skew_ratio\"", "\"measured_peak_task_memory_bytes\""}) {
+        "\"skew_ratio\"", "\"measured_peak_task_memory_bytes\"",
+        "\"total_flops\"", "\"pcie_bytes\"", "\"gpu_utilization\""}) {
     EXPECT_NE(json.find(key), std::string::npos) << key;
   }
+  EXPECT_EQ(json.find("\"error\""), std::string::npos);
 }
 
 TEST(ExplainTest, SecondRunIsExplainedByItsOwnDelta) {
@@ -343,6 +353,9 @@ TEST(ExplainTest, FailedRunExplainCarriesItsCommMatrix) {
   auto explain = session.ExplainLastRun();
   ASSERT_TRUE(explain.ok());
   EXPECT_NE(explain->outcome, "OK");
+  EXPECT_EQ(explain->error, session.history().back().outcome.ToString());
+  EXPECT_NE(explain->ToJson().find("\"error\":\"" + explain->error + "\""),
+            std::string::npos);
   // The attempts fetched their remote inputs before crashing.
   EXPECT_GT(explain->comm.TotalBytes(), 0);
   EXPECT_EQ(explain->comm.TotalBytes(),
@@ -380,7 +393,9 @@ TEST(ExplainTest, BuildFromSimReport) {
   // Without flight events there are no task spans to take percentiles of.
   EXPECT_EQ(explain->tasks.count, report->num_tasks);
   EXPECT_EQ(explain->tasks.p50_seconds, 0.0);
-  EXPECT_TRUE(explain->comm.empty());
+  // A simulated report always carries its run's comm matrix.
+  EXPECT_EQ(explain->comm.num_nodes, cluster.num_nodes);
+  EXPECT_GT(explain->comm.TotalBytes(), 0);
 }
 
 }  // namespace

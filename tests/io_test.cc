@@ -188,9 +188,9 @@ TEST_F(IoTest, ArrayHeaderBeyondTheFileIsInvalid) {
   std::remove(path.c_str());
 }
 
-TEST_F(IoTest, RowCountBeyondACsrRowPointerIsInvalid) {
-  // A CSR row pointer holds rows + 1 offsets even when nnz is 0, so a row
-  // count whose pointer cannot be sized is refused.
+TEST_F(IoTest, CoordinateDimensionsWhoseProductOverflowsAreInvalid) {
+  // Negative dimensions, or ones whose element count overflows int64, are
+  // refused even when nnz is 0.
   const std::string path = TempPath("coordinate_dims.mtx");
   auto read_with_dims = [&path](const char* dims) {
     std::FILE* f = std::fopen(path.c_str(), "w");
@@ -205,6 +205,41 @@ TEST_F(IoTest, RowCountBeyondACsrRowPointerIsInvalid) {
     const auto result = read_with_dims(dims);
     ASSERT_FALSE(result.ok()) << dims;
     EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << dims;
+  }
+  std::remove(path.c_str());
+}
+
+TEST_F(IoTest, HugeRowCountWithoutEntriesReadsAsAnEmptyGrid) {
+  // 2^59 rows: nothing is sized by the row count, so the reader neither
+  // allocates for it nor aborts.
+  const std::string path = TempPath("huge_rows.mtx");
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  std::fprintf(f, "%%%%MatrixMarket matrix coordinate real general\n"
+                  "576460752303423488 3 0\n");
+  std::fclose(f);
+  const auto result = ReadMatrixMarket(path, 2);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result->shape().rows, int64_t{1} << 59);
+  EXPECT_EQ(result->shape().cols, 3);
+  EXPECT_EQ(result->num_blocks(), 0);
+  std::remove(path.c_str());
+}
+
+TEST_F(IoTest, CoordinateEntriesOutsideTheHeaderAreInvalid) {
+  const std::string path = TempPath("entry_range.mtx");
+  auto read_with_entry = [&path](const char* entry) {
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    std::fprintf(f, "%%%%MatrixMarket matrix coordinate real general\n"
+                    "3 3 1\n%s\n", entry);
+    std::fclose(f);
+    return ReadMatrixMarket(path, 2);
+  };
+  ASSERT_TRUE(read_with_entry("3 3 1.0").ok());
+  for (const char* entry :
+       {"0 1 1.0", "4 1 1.0", "1 4 1.0", "-9223372036854775808 1 1.0"}) {
+    const auto result = read_with_entry(entry);
+    ASSERT_FALSE(result.ok()) << entry;
+    EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument) << entry;
   }
   std::remove(path.c_str());
 }

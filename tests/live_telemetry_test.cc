@@ -259,9 +259,12 @@ TEST(FlightRecorderTest, ParseFlightDumpRejectsHostileInput) {
   EXPECT_FALSE(
       ParseCopy(schema + R"(,"total_recorded":0,"capacity":64})").ok());
   // Only this build's schema is read, and the refusal names the schema to
-  // re-dump with.
-  const Result<obs::FlightDump> older =
-      ParseCopy(with_schema(obs::kFlightDumpSchema - 1) + R"(,"events":[]})");
+  // re-dump with, even when the older dump holds an event kind this schema
+  // no longer has (schema 5's dep_edge).
+  const Result<obs::FlightDump> older = ParseCopy(
+      with_schema(obs::kFlightDumpSchema - 1) +
+      R"(,"events":[{"seq":1,"ts_us":5,"type":"dep_edge","node":0,)"
+      R"("slot":1,"a":2,"b":3,"detail":"fetch_wait"}]})");
   ASSERT_FALSE(older.ok());
   EXPECT_NE(older.status().message().find(
                 "reads schema " + std::to_string(obs::kFlightDumpSchema)),
@@ -291,7 +294,7 @@ TEST(FlightRecorderTest, ParsedDumpAtTheValueBoundAnalyzesWithoutOverflow) {
     flight.RecordAt(kMax, Type::kStageEnd, -1, -1, 0, 0, "multiply");
     // A task whose start fell off the ring, rebuilt as kMax - b = 0.
     flight.RecordAt(kMax, Type::kTaskFinish, 0, i, i, kMax);
-    flight.RecordEdgeAt(kMax, obs::FlightEdgeKind::kFetchWait, 0, i, i, kMax);
+    flight.RecordAt(kMax, Type::kFetchWait, 0, i, i, kMax);
     const int64_t tag = obs::PackGpuTag(0, kMax, kMax);
     flight.RecordAt(0, Type::kGpuH2dBegin, i, 0, kMax, tag);
     flight.RecordAt(kMax, Type::kGpuH2dEnd, i, 0, kMax, tag);

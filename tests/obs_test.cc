@@ -96,14 +96,11 @@ TEST(MetricsRegistryTest, SnapshotFindAndTotals) {
   EXPECT_EQ(gauge->kind, MetricKind::kGauge);
   EXPECT_EQ(gauge->value, -7);
   EXPECT_EQ(snapshot.Find("distme.test.absent"), nullptr);
-
-  registry.Reset();
-  EXPECT_EQ(registry.Snapshot().TotalValue("distme.test.retries"), 0);
 }
 
 // --- Histogram -------------------------------------------------------------
 
-TEST(HistogramTest, CountSumMinMaxAreExact) {
+TEST(HistogramTest, CountAndSumAreExact) {
   MetricsRegistry registry;
   Histogram* h = registry.GetHistogram("distme.test.h");
   double sum = 0;
@@ -113,38 +110,6 @@ TEST(HistogramTest, CountSumMinMaxAreExact) {
   }
   EXPECT_EQ(h->Count(), 1000);
   EXPECT_DOUBLE_EQ(h->Sum(), sum);
-  EXPECT_DOUBLE_EQ(h->Min(), 0.5);
-  EXPECT_DOUBLE_EQ(h->Max(), 500.0);
-}
-
-TEST(HistogramTest, PercentilesAreWithinABucket) {
-  MetricsRegistry registry;
-  Histogram* h = registry.GetHistogram("distme.test.p");
-  // Uniform 1..10000: p50 = 5000, p95 = 9500, p99 = 9900. The base-2
-  // buckets bound the estimate within a factor of two of the true value.
-  for (int i = 1; i <= 10000; ++i) h->Observe(i);
-  const double p50 = h->Percentile(50);
-  const double p95 = h->Percentile(95);
-  const double p99 = h->Percentile(99);
-  EXPECT_GE(p50, 2500.0);
-  EXPECT_LE(p50, 10000.0);
-  EXPECT_GE(p95, 4750.0);
-  EXPECT_LE(p95, 10000.0);
-  EXPECT_GE(p99, 4950.0);
-  EXPECT_LE(p99, 10000.0);
-  EXPECT_LE(p50, p95);
-  EXPECT_LE(p95, p99);
-  // Extremes are clamped to the exact observed min/max.
-  EXPECT_DOUBLE_EQ(h->Percentile(0), 1.0);
-  EXPECT_DOUBLE_EQ(h->Percentile(100), 10000.0);
-}
-
-TEST(HistogramTest, SingleValuePercentilesCollapse) {
-  MetricsRegistry registry;
-  Histogram* h = registry.GetHistogram("distme.test.one");
-  h->Observe(42.0);
-  EXPECT_DOUBLE_EQ(h->Percentile(50), 42.0);
-  EXPECT_DOUBLE_EQ(h->Percentile(99), 42.0);
 }
 
 // --- Exporters -------------------------------------------------------------
@@ -155,7 +120,7 @@ TEST(ChromeTraceTest, EmitsRequiredKeysAndMetadata) {
   flight.RecordAt(0, FlightEventType::kRunStart, -1, -1, 1);
   flight.RecordAt(5, FlightEventType::kStageBegin, -1, -1, 0, 0, stage);
   flight.RecordAt(10, FlightEventType::kTaskStart, 0, 1, 7, 0);
-  flight.RecordEdgeAt(30, FlightEdgeKind::kFetchWait, 0, 1, 7, 15);
+  flight.RecordAt(30, FlightEventType::kFetchWait, 0, 1, 7, 15);
   flight.RecordAt(50, FlightEventType::kTaskFinish, 0, 1, 7, 40);
   flight.RecordAt(60, FlightEventType::kStageEnd, -1, -1, 0, 0, stage);
   flight.RecordAt(70, FlightEventType::kRunFinish, -1, -1, 1, 0);
@@ -224,20 +189,6 @@ TEST(ChromeTraceTest, DeviceIntervalsOfEveryRunGetADeviceProcess) {
   EXPECT_NE(json.find("\"args\":{\"name\":\"node0 gpu0 (device clock)\"}"),
             std::string::npos);
   EXPECT_NE(json.find("\"args\":{\"name\":\"kernel\"}"), std::string::npos);
-}
-
-TEST(MetricsJsonTest, RendersEveryInstrumentKind) {
-  MetricsRegistry registry;
-  registry.GetCounter("distme.test.counter")->Add(11);
-  registry.GetGauge("distme.test.gauge")->Set(3);
-  registry.GetHistogram("distme.test.histogram")->Observe(2.0);
-  const std::string json = MetricsJson(registry.Snapshot());
-  EXPECT_NE(json.find("\"name\":\"distme.test.counter\""), std::string::npos);
-  EXPECT_NE(json.find("\"type\":\"counter\""), std::string::npos);
-  EXPECT_NE(json.find("\"type\":\"gauge\""), std::string::npos);
-  EXPECT_NE(json.find("\"type\":\"histogram\""), std::string::npos);
-  EXPECT_NE(json.find("\"value\":11"), std::string::npos);
-  EXPECT_NE(json.find("\"p99\":"), std::string::npos);
 }
 
 // --- RealExecutor integration ---------------------------------------------
@@ -365,11 +316,6 @@ TEST(ObsIntegrationTest, InjectedFaultsShowUpAsLabeledRetries) {
       "distme.task.retries", {{"reason", "injected_crash"}});
   ASSERT_NE(injected, nullptr);
   EXPECT_EQ(injected->value, result->report.task_retries);
-
-  // The structured run report carries the labeled breakdown.
-  const std::string json = engine::RunReportJson(result->report, &snapshot);
-  EXPECT_NE(json.find("\"task_retries_by_reason\""), std::string::npos);
-  EXPECT_NE(json.find("\"injected_crash\""), std::string::npos);
 }
 
 }  // namespace

@@ -158,43 +158,6 @@ TEST(SimExecutorTest, CommunicationMatchesAnalyticModel) {
               0.01 * 20 * a_bytes);
 }
 
-TEST(SimExecutorTest, FetchOverlapHidesRepartitionNotBytes) {
-  // The prefetch-pipeline model: fetch_overlap hides part of the
-  // repartition step behind the multiply waves, but moves the same bytes.
-  const ClusterConfig cluster = ClusterConfig::Paper();
-  SimExecutor executor(cluster);
-  const MMProblem p = DenseProblem(20000, 20000, 20000);
-
-  auto serial = executor.Run(p, mm::RmmMethod(), {});
-  ASSERT_TRUE(serial.ok());
-  SimOptions pipelined;
-  pipelined.fetch_overlap = 0.6;
-  auto overlapped = executor.Run(p, mm::RmmMethod(), pipelined);
-  ASSERT_TRUE(overlapped.ok());
-
-  // Bytes are identical — the pipeline moves the same blocks, earlier.
-  EXPECT_DOUBLE_EQ(overlapped->repartition_bytes, serial->repartition_bytes);
-  EXPECT_DOUBLE_EQ(overlapped->aggregation_bytes, serial->aggregation_bytes);
-  // The visible repartition time shrinks by exactly the hidden share
-  // (multiply dwarfs repartition at this scale, so nothing is clamped).
-  const double hidden =
-      std::min(serial->steps.repartition_seconds * 0.6,
-               serial->steps.multiply_seconds);
-  EXPECT_NEAR(overlapped->steps.repartition_seconds,
-              serial->steps.repartition_seconds - hidden, 1e-9);
-  EXPECT_DOUBLE_EQ(overlapped->steps.multiply_seconds,
-                   serial->steps.multiply_seconds);
-  EXPECT_LT(overlapped->elapsed_seconds, serial->elapsed_seconds);
-
-  // Full overlap can never hide more than the multiply step provides
-  // cover for — repartition time floors at the un-hidable remainder.
-  SimOptions full;
-  full.fetch_overlap = 1.0;
-  auto fully = executor.Run(p, mm::RmmMethod(), full);
-  ASSERT_TRUE(fully.ok());
-  EXPECT_GE(fully->steps.repartition_seconds, 0.0);
-}
-
 TEST(SimExecutorTest, GpuFasterThanCpuOnDense) {
   const ClusterConfig cluster = ClusterConfig::Paper();
   SimExecutor executor(cluster);

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <latch>
 #include <string>
 #include <thread>
 #include <vector>
@@ -37,24 +38,22 @@ void RunOnThreads(const std::function<void(int)>& fn) {
   for (auto& th : threads) th.join();
 }
 
-/// One reader thread that snapshots a registry, a comm matrix and a flight
-/// ring in a loop until Stop() (at least once), so TSan sees the writers
-/// race concurrent reads of all three. Counters never read negative, and
-/// every flight snapshot comes out in sequence order and within the ring's
-/// capacity: the seqlock never surfaces a torn or reordered event.
+/// One reader thread that snapshots a registry and a flight ring in a loop
+/// until Stop() (at least once), so TSan sees the writers race concurrent
+/// reads of both. Counters never read negative, and every flight snapshot
+/// comes out in sequence order and within the ring's capacity: the seqlock
+/// never surfaces a torn or reordered event.
 class SnapshotReader {
  public:
   SnapshotReader(const obs::MetricsRegistry& registry,
-                 const obs::CommMatrix& comm,
                  const obs::FlightRecorder& flight)
-      : thread_([this, &registry, &comm, &flight] {
+      : thread_([this, &registry, &flight] {
           do {
             for (const obs::MetricPoint& p : registry.Snapshot().points) {
               if (p.kind == obs::MetricKind::kCounter) {
                 EXPECT_GE(p.value, 0);
               }
             }
-            EXPECT_GE(comm.Snapshot().TotalBytes(), 0);
             const std::vector<obs::FlightEvent> events = flight.Snapshot();
             for (size_t i = 1; i < events.size(); ++i) {
               EXPECT_LT(events[i - 1].seq, events[i].seq);
@@ -119,30 +118,12 @@ TEST(StressConcurrencyTest, MetricsRegistryHammer) {
   EXPECT_EQ(histo->value, int64_t{kThreads} * kItersPerThread);
 }
 
-// Reset racing with writers must not lose the registry's instruments (only
-// their values) and must not trip TSan.
-TEST(StressConcurrencyTest, MetricsRegistryResetRace) {
-  obs::MetricsRegistry registry;
-  std::atomic<bool> stop{false};
-  std::thread resetter([&] {
-    while (!stop.load(std::memory_order_acquire)) registry.Reset();
-  });
-  RunOnThreads([&](int) {
-    for (int i = 0; i < kItersPerThread; ++i) {
-      registry.GetCounter("stress.reset.counter")->Add(1);
-    }
-  });
-  stop.store(true, std::memory_order_release);
-  resetter.join();
-  EXPECT_NE(registry.Snapshot().Find("stress.reset.counter"), nullptr);
-}
-
 // --- CommMatrix -------------------------------------------------------------
 
 // Concurrent Record() on overlapping links, with a concurrent snapshotter;
 // the final snapshot must account for every byte exactly once.
 TEST(StressConcurrencyTest, CommMatrixHammer) {
-  obs::CommMatrix comm;
+  obs::CommMatrix comm(4);
   std::atomic<bool> stop{false};
 
   std::thread snapshotter([&] {
@@ -196,14 +177,12 @@ TEST(StressConcurrencyTest, LoggingHammer) {
 
 // --- FlightRecorder ---------------------------------------------------------
 
-// Writers hammer the lock-free event ring (forcing constant wraparound), a
-// registry counter and the comm matrix while one reader thread snapshots
-// all three.
+// Writers hammer the lock-free event ring (forcing constant wraparound) and
+// a registry counter while one reader thread snapshots both.
 TEST(StressConcurrencyTest, FlightRecorderReaderHammer) {
   obs::MetricsRegistry registry;
-  obs::CommMatrix comm;
   obs::FlightRecorder flight(256);
-  SnapshotReader reader(registry, comm, flight);
+  SnapshotReader reader(registry, flight);
 
   RunOnThreads([&](int t) {
     obs::Counter* counter = registry.GetCounter("stress.flight.events");
@@ -211,7 +190,6 @@ TEST(StressConcurrencyTest, FlightRecorderReaderHammer) {
       flight.Record(obs::FlightEventType::kTaskStart, t, i % 4, i, t,
                     "stress");
       counter->Add(1);
-      comm.Record(obs::CommStage::kRepartition, t % 4, i % 4, 8);
     }
   });
   reader.Stop();
@@ -277,10 +255,10 @@ TEST(StressConcurrencyTest, GpuDeviceStatsReaderHammer) {
 
 // Whole-engine stress: several sessions run real multiplies concurrently,
 // each spinning up its own RealExecutor task slots, per-node stores, metrics
-// registry, flight ring, and comm matrix, and each exports its ring as a
-// Chrome trace after every multiply while its own reader thread snapshots
-// all three. Catches races between executor internals, the trace export,
-// concurrent readers, and the shared process state (logging ids, etc.).
+// registry and flight ring, and each exports its ring as a Chrome trace
+// after every multiply while its own reader thread snapshots both. Catches
+// races between executor internals, the trace export, concurrent readers,
+// and the shared process state (logging ids, etc.).
 TEST(StressConcurrencyTest, MultiSessionMultiplyHammer) {
   constexpr int kSessions = 8;
   std::vector<std::thread> threads;
@@ -294,8 +272,7 @@ TEST(StressConcurrencyTest, MultiSessionMultiplyHammer) {
       options.planner = std::make_shared<core::DistmePlanner>(
           mm::OptimizerOptions{.enforce_parallelism = false});
       core::Session session(options);
-      SnapshotReader reader(session.metrics(), session.comm(),
-                            session.flight());
+      SnapshotReader reader(session.metrics(), session.flight());
       const std::string trace =
           testing::TempDir() + "/hammer_trace_" + std::to_string(s) + ".json";
 
@@ -336,22 +313,23 @@ TEST(StressConcurrencyTest, MultiSessionMultiplyHammer) {
 // Pipeline hammer: concurrent pipelined runs on an 8-slot cluster (4 nodes ×
 // 2 slots), prefetch depth 4 — so every run spins up 8 fetch + 8 compute
 // threads crossing its shared staging queue and prefetch gates — while one
-// reader thread snapshots the shared registry, comm matrix and flight ring
-// the executors record into. Under TSan this is the regression test for
-// the fetch-to-worker handoff; functionally every pipelined result must
-// match the depth-0 bits.
+// reader thread snapshots the shared registry and flight ring the executors
+// record into. Under TSan this is the regression test for the
+// fetch-to-worker handoff. Functionally every pipelined run must match its
+// own depth-0 run: the same result bits, and — though the runs overlap in
+// one registry — the same shuffle bytes, task count and comm cells.
 TEST(StressConcurrencyTest, PipelinedMultiplyHammer) {
   constexpr int kRunners = 4;
   obs::MetricsRegistry registry;
-  obs::CommMatrix comm;
   obs::FlightRecorder flight(4096);
-  SnapshotReader reader(registry, comm, flight);
+  SnapshotReader reader(registry, flight);
 
   std::atomic<int> failures{0};
+  std::latch start(kRunners);  // the pipelined runs begin together
   std::vector<std::thread> threads;
   threads.reserve(kRunners);
   for (int r = 0; r < kRunners; ++r) {
-    threads.emplace_back([r, &registry, &comm, &flight, &failures] {
+    threads.emplace_back([r, &registry, &flight, &failures, &start] {
       GeneratorOptions ga;
       ga.rows = 48;
       ga.cols = 32;
@@ -375,23 +353,33 @@ TEST(StressConcurrencyTest, PipelinedMultiplyHammer) {
 
       engine::RealOptions legacy;
       auto run0 = executor.Run(a, b, method, legacy);
+      start.arrive_and_wait();
       if (!run0.ok() || !run0->report.outcome.ok()) {
         failures.fetch_add(1);
         return;
       }
+      const engine::MMReport& report0 = run0->report;
       const DenseMatrix d0 = run0->output->Collect().ToDense();
 
       for (int round = 0; round < 3; ++round) {
         engine::RealOptions pipelined;
         pipelined.prefetch_depth = 4;
         pipelined.metrics = &registry;
-        pipelined.comm = &comm;
         pipelined.flight = &flight;
         auto run = executor.Run(a, b, method, pipelined);
         if (!run.ok() || !run->report.outcome.ok()) {
           failures.fetch_add(1);
           return;
         }
+        const engine::MMReport& report = run->report;
+        EXPECT_EQ(report.repartition_bytes, report0.repartition_bytes)
+            << "runner " << r << " round " << round;
+        EXPECT_EQ(report.aggregation_bytes, report0.aggregation_bytes)
+            << "runner " << r << " round " << round;
+        EXPECT_EQ(report.num_tasks, report0.num_tasks);
+        EXPECT_EQ(report.comm.num_nodes, report0.comm.num_nodes);
+        EXPECT_EQ(report.comm.cells, report0.comm.cells)
+            << "runner " << r << " round " << round;
         const DenseMatrix dk = run->output->Collect().ToDense();
         if (dk.rows() != d0.rows() || dk.cols() != d0.cols() ||
             DenseMatrix::MaxAbsDiff(dk, d0) != 0.0) {
